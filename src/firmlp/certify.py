@@ -115,6 +115,18 @@ def report_to_json(report: CertReport) -> dict:
     return doc
 
 
+def _firm_terms(x, y, tx, ty, sp: SpaceParams):
+    """The three norm terms of the firm inequality at the pairs (x, y):
+    ||x-y||^r, ||(Id-T)x - (Id-T)y||^r and ||Tx-Ty||^r."""
+    return norm_pow(x - y, sp), norm_pow((x - tx) - (y - ty), sp), norm_pow(tx - ty, sp)
+
+
+def _firm_slack(terms, alpha: float, sp: SpaceParams):
+    sep, disp, out = terms
+    coeff = 0.5 * sp.c_r * (1.0 - alpha) / alpha
+    return sep - coeff * disp - out
+
+
 def firm_residual(T, x, y, alpha: float, sp: SpaceParams):
     """Slack of the firm inequality at one constant alpha:
 
@@ -124,9 +136,7 @@ def firm_residual(T, x, y, alpha: float, sp: SpaceParams):
         raise ValueError("alpha must lie in (0, 1)")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    tx, ty = T(x), T(y)
-    coeff = 0.5 * sp.c_r * (1.0 - alpha) / alpha
-    return norm_pow(x - y, sp) - coeff * norm_pow((x - tx) - (y - ty), sp) - norm_pow(tx - ty, sp)
+    return _firm_slack(_firm_terms(x, y, T(x), T(y), sp), alpha, sp)
 
 
 def _min_alpha_estimate(gain: np.ndarray, disp: np.ndarray, c_r: float):
@@ -148,6 +158,33 @@ def _min_alpha_estimate(gain: np.ndarray, disp: np.ndarray, c_r: float):
     return float(np.max(1.0 / (1.0 + beta))), degenerate
 
 
+def _worst_pair_report(prop: str, x, y, rel: np.ndarray, tol: float, **fields) -> CertReport:
+    """Report the pair with the smallest relative residual ``rel`` as the
+    witness; the check passes when that residual is >= -tol."""
+    worst = int(np.argmin(rel))
+    return CertReport(
+        property=prop,
+        samples=len(rel),
+        worst_residual=float(rel[worst]),
+        witness=(x[worst].copy(), y[worst].copy()),
+        passed=bool(rel[worst] >= -tol),
+        **fields,
+    )
+
+
+def _firm_report(prop: str, x, y, tx, ty, alpha: float, sp: SpaceParams, tol: float):
+    terms = _firm_terms(x, y, tx, ty, sp)
+    sep, disp, out = terms
+    rel = _firm_slack(terms, alpha, sp) / np.maximum(sep, 1.0)
+    est, degenerate = _min_alpha_estimate(sep - out, disp, sp.c_r)
+    return _worst_pair_report(
+        prop, x, y, rel, tol,
+        estimated_min_alpha=est,
+        degenerate_pairs=degenerate,
+        details={"alpha": alpha, "p": sp.p, "r": sp.r, "c_r": sp.c_r, "tol": tol},
+    )
+
+
 def certify_alpha_firm(
     T,
     alpha: float,
@@ -163,24 +200,7 @@ def certify_alpha_firm(
     d_sampler, e_sampler = samplers
     x = d_sampler.draw(n, sp.p)
     y = e_sampler.draw(n, sp.p)
-    tx, ty = T(x), T(y)
-    sep = norm_pow(x - y, sp)
-    out = norm_pow(tx - ty, sp)
-    disp = norm_pow((x - tx) - (y - ty), sp)
-    coeff = 0.5 * sp.c_r * (1.0 - alpha) / alpha
-    rel = (sep - coeff * disp - out) / np.maximum(sep, 1.0)
-    worst = int(np.argmin(rel))
-    est, degenerate = _min_alpha_estimate(sep - out, disp, sp.c_r)
-    return CertReport(
-        property="alpha_firm",
-        samples=n,
-        worst_residual=float(rel[worst]),
-        witness=(x[worst].copy(), y[worst].copy()),
-        estimated_min_alpha=est,
-        passed=bool(rel[worst] >= -tol),
-        degenerate_pairs=degenerate,
-        details={"alpha": alpha, "p": sp.p, "r": sp.r, "c_r": sp.c_r, "tol": tol},
-    )
+    return _firm_report("alpha_firm", x, y, T(x), T(y), alpha, sp, tol)
 
 
 def certify_quasi_alpha_firm(
@@ -194,8 +214,9 @@ def certify_quasi_alpha_firm(
 ) -> CertReport:
     """Check the quasi-firm inequality: y drawn from Fix T, x anywhere.
 
-    When ``fix_sampler`` is None it is derived from the operator's
-    fixed-point metadata; sampled y values are verified to be fixed.
+    This is the firm inequality with Ty = y.  When ``fix_sampler`` is None
+    it is derived from the operator's fixed-point metadata; sampled y
+    values are verified to be fixed.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -214,28 +235,10 @@ def certify_quasi_alpha_firm(
         )
     x = x_sampler.draw(n, sp.p)
     y = fix_sampler.draw(n, sp.p)
-    ty = T(y)
-    fix_err = lp_norm(ty - y, sp.p)
+    fix_err = lp_norm(T(y) - y, sp.p)
     if np.any(fix_err > 1e-8 * np.maximum(lp_norm(y, sp.p), 1.0)):
         raise ValueError("sampled y points are not fixed by T; bad fixed-point data")
-    tx = T(x)
-    sep = norm_pow(x - y, sp)
-    out = norm_pow(tx - y, sp)
-    disp = norm_pow(tx - x, sp)
-    coeff = 0.5 * sp.c_r * (1.0 - alpha) / alpha
-    rel = (sep - coeff * disp - out) / np.maximum(sep, 1.0)
-    worst = int(np.argmin(rel))
-    est, degenerate = _min_alpha_estimate(sep - out, disp, sp.c_r)
-    return CertReport(
-        property="quasi_alpha_firm",
-        samples=n,
-        worst_residual=float(rel[worst]),
-        witness=(x[worst].copy(), y[worst].copy()),
-        estimated_min_alpha=est,
-        passed=bool(rel[worst] >= -tol),
-        degenerate_pairs=degenerate,
-        details={"alpha": alpha, "p": sp.p, "r": sp.r, "c_r": sp.c_r, "tol": tol},
-    )
+    return _firm_report("quasi_alpha_firm", x, y, T(x), y, alpha, sp, tol)
 
 
 def certify_nonexpansive(
@@ -253,16 +256,13 @@ def certify_nonexpansive(
     sep = lp_norm(x - y, p)
     out = lp_norm(T(x) - T(y), p)
     rel = (sep - out) / np.maximum(sep, 1.0)
-    worst = int(np.argmin(rel))
-    return CertReport(
-        property="nonexpansive",
-        samples=n,
-        worst_residual=float(rel[worst]),
-        witness=(x[worst].copy(), y[worst].copy()),
-        estimated_min_alpha=None,
-        passed=bool(rel[worst] >= -tol),
-        details={"p": p, "tol": tol},
+    return _worst_pair_report(
+        "nonexpansive", x, y, rel, tol, estimated_min_alpha=None, details={"p": p, "tol": tol}
     )
+
+
+def _bruck_phi(dxy, dtxy, w: float, p: float):
+    return lp_norm((1.0 - w) * dxy + w * dtxy, p)
 
 
 def bruck_phi(T, x, y, w: float, p: float = 2.0):
@@ -272,8 +272,7 @@ def bruck_phi(T, x, y, w: float, p: float = 2.0):
         raise ValueError("w must lie in [0, 1]")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    diff = (1.0 - w) * (x - y) + w * (T(x) - T(y))
-    return lp_norm(diff, p)
+    return _bruck_phi(x - y, T(x) - T(y), w, p)
 
 
 def certify_bruck_firm(
@@ -286,8 +285,9 @@ def certify_bruck_firm(
 ) -> CertReport:
     """Check phi(1) <= phi(w) over a weight grid on sampled pairs.
 
-    On pass the report lists the firm constants 1/(1+w) implied by each
-    grid point and stores the strongest one as ``estimated_min_alpha``.
+    A pair's residual is its smallest over the grid.  On pass the report
+    lists the firm constants 1/(1+w) implied by each grid point and stores
+    the strongest one as ``estimated_min_alpha``.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -302,28 +302,25 @@ def certify_bruck_firm(
     dtxy = T(x) - T(y)
     phi1 = lp_norm(dtxy, sp.p)
     scale = np.maximum(lp_norm(dxy, sp.p), 1.0)
-    worst_val = np.inf
-    worst_idx = 0
-    worst_w = w_grid[0]
-    for w in w_grid:
-        rel = (lp_norm((1.0 - w) * dxy + w * dtxy, sp.p) - phi1) / scale
-        i = int(np.argmin(rel))
-        if rel[i] < worst_val:
-            worst_val, worst_idx, worst_w = float(rel[i]), i, w
-    passed = bool(worst_val >= -tol)
-    implied = {w: 1.0 / (1.0 + w) for w in w_grid} if passed else {}
-    return CertReport(
-        property="bruck_firm",
-        samples=n,
-        worst_residual=worst_val,
-        witness=(x[worst_idx].copy(), y[worst_idx].copy()),
-        estimated_min_alpha=(1.0 / (1.0 + max(w_grid))) if passed else None,
-        passed=passed,
+    rel = np.full(n, np.inf)
+    k_min = np.zeros(n, dtype=int)  # grid index attaining each pair's residual
+    for k, w in enumerate(w_grid):
+        rel_k = (_bruck_phi(dxy, dtxy, w, sp.p) - phi1) / scale
+        lower = rel_k < rel
+        rel = np.where(lower, rel_k, rel)
+        k_min = np.where(lower, k, k_min)
+    report = _worst_pair_report(
+        "bruck_firm", x, y, rel, tol,
+        estimated_min_alpha=None,
         details={
             "p": sp.p,
             "tol": tol,
             "w_grid": list(w_grid),
-            "worst_w": worst_w,
-            "implied_alphas": {str(w): a for w, a in implied.items()},
+            "worst_w": w_grid[k_min[int(np.argmin(rel))]],
+            "implied_alphas": {},
         },
     )
+    if report.passed:
+        report.estimated_min_alpha = 1.0 / (1.0 + max(w_grid))
+        report.details["implied_alphas"] = {str(w): 1.0 / (1.0 + w) for w in w_grid}
+    return report

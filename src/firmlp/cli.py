@@ -75,6 +75,25 @@ def _space_and_dim(doc: dict):
     return sp, dim
 
 
+def _prepare(args, required: set, optional: set, vector: str | None):
+    """Load the config, check its keys, parse the space and dimension, build
+    the operator (for feasibility, the projection specs) and check the shape
+    of the input vector, in that order; returns (doc, sp, dim, op, vector)."""
+    doc = _load_config(args.config, {"p": args.p, "dim": args.dim, "seed": args.seed})
+    _check_keys(doc, required | {"p", "dim"}, optional | {"seed"})
+    sp, dim = _space_and_dim(doc)
+    if "operator" in doc:
+        op = operator_from_json(doc["operator"], sp, dim)
+    else:
+        op = feasibility.load_instance_json(doc["isometries"], sp, dim)
+    vec = None
+    if vector is not None:
+        vec = np.asarray(doc[vector], dtype=float)
+        if vec.shape != (dim,):
+            raise ConfigError(f"{vector} must have dim {dim} coordinates")
+    return doc, sp, dim, op, vec
+
+
 def _sampler_from(doc: dict, seed: int, dim: int) -> cert.Sampler:
     allowed = {"dist", "low", "high", "scale", "min_norm"}
     unknown = doc.keys() - allowed
@@ -134,18 +153,10 @@ def _summary_of(traj: dynamics.Trajectory, sp) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_certify(args) -> int:
-    doc = _load_config(args.config, {"p": args.p, "dim": args.dim, "seed": args.seed})
-    _check_keys(
-        doc,
-        required={"p", "dim", "operator", "property"},
-        optional={"alpha", "samples", "tol", "seed", "sampler", "w_grid", "report", "fix_sampler"},
-    )
-    sp, dim = _space_and_dim(doc)
+def _cmd_certify(out: Path, doc: dict, sp, dim: int, T, _) -> int:
     seed = int(doc.get("seed", 0))
     n = int(doc.get("samples", 10_000))
     tol = float(doc.get("tol", cert.DEFAULT_TOL))
-    T = operator_from_json(doc["operator"], sp, dim)
     sampler = _sampler_from(doc.get("sampler", {}), seed, dim)
     prop = doc["property"]
     if prop == "nonexpansive":
@@ -173,25 +184,14 @@ def _cmd_certify(args) -> int:
         report = cert.certify_bruck_firm(T, sp, sampler, w_grid=grid, n=n, tol=tol)
     else:
         raise ConfigError(f"unknown property {prop!r}")
-    out = Path(args.out) / doc.get("report", "certify_report.json")
-    _write_json(out, cert.report_to_json(report))
+    path = out / doc.get("report", "certify_report.json")
+    _write_json(path, cert.report_to_json(report))
     print(f"{report.property}: {'PASS' if report.passed else 'FAIL'} "
-          f"(worst residual {_fmt(report.worst_residual)}) -> {out}")
+          f"(worst residual {_fmt(report.worst_residual)}) -> {path}")
     return EXIT_OK if report.passed else EXIT_PROPERTY
 
 
-def _cmd_iterate(args) -> int:
-    doc = _load_config(args.config, {"p": args.p, "dim": args.dim, "seed": args.seed})
-    _check_keys(
-        doc,
-        required={"p", "dim", "operator", "x0"},
-        optional={"stop", "seed", "n_fejer", "track_fix_projections", "csv", "summary"},
-    )
-    sp, dim = _space_and_dim(doc)
-    T = operator_from_json(doc["operator"], sp, dim)
-    x0 = np.asarray(doc["x0"], dtype=float)
-    if x0.shape != (dim,):
-        raise ConfigError(f"x0 must have dim {dim} coordinates")
+def _cmd_iterate(out: Path, doc: dict, sp, dim: int, T, x0) -> int:
     stop = _stop_rule(doc.get("stop", {}))
     monitors = dynamics.MonitorConfig(
         sp=sp,
@@ -199,8 +199,8 @@ def _cmd_iterate(args) -> int:
         seed=int(doc.get("seed", 0)),
         track_fix_projections=bool(doc.get("track_fix_projections", False)),
     )
-    csv_path = Path(args.out) / doc.get("csv", "trajectory.csv")
-    summary_path = Path(args.out) / doc.get("summary", "summary.json")
+    csv_path = out / doc.get("csv", "trajectory.csv")
+    summary_path = out / doc.get("summary", "summary.json")
     try:
         traj = dynamics.picard_iterate(T, x0, stop, monitors)
     except dynamics.DivergenceError as exc:
@@ -214,42 +214,20 @@ def _cmd_iterate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_resolvent(args) -> int:
-    doc = _load_config(args.config, {"p": args.p, "dim": args.dim, "seed": args.seed})
-    _check_keys(
-        doc,
-        required={"p", "dim", "operator", "lambdas", "x"},
-        optional={"tol", "seed", "report"},
-    )
-    sp, dim = _space_and_dim(doc)
-    F = operator_from_json(doc["operator"], sp, dim)
-    x = np.asarray(doc["x"], dtype=float)
-    if x.shape != (dim,):
-        raise ConfigError(f"x must have dim {dim} coordinates")
+def _cmd_resolvent(out: Path, doc: dict, sp, dim: int, F, x) -> int:
     tol = float(doc.get("tol", 1e-12))
     rows = []
     for lam in doc["lambdas"]:
         y = dynamics.resolvent_apply(F, float(lam), x, sp, tol=tol)
         rows.append({"lam": float(lam), "value": y.tolist(),
                      "displacement": float(lp_norm(y - x, sp.p))})
-    out = Path(args.out) / doc.get("report", "resolvent.json")
-    _write_json(out, {"p": sp.p, "x": x.tolist(), "results": rows})
-    print(f"resolvent: {len(rows)} parameter values -> {out}")
+    path = out / doc.get("report", "resolvent.json")
+    _write_json(path, {"p": sp.p, "x": x.tolist(), "results": rows})
+    print(f"resolvent: {len(rows)} parameter values -> {path}")
     return EXIT_OK
 
 
-def _cmd_semigroup(args) -> int:
-    doc = _load_config(args.config, {"p": args.p, "dim": args.dim, "seed": args.seed})
-    _check_keys(
-        doc,
-        required={"p", "dim", "operator", "t", "schedule", "x"},
-        optional={"tol", "seed", "csv", "summary"},
-    )
-    sp, dim = _space_and_dim(doc)
-    F = operator_from_json(doc["operator"], sp, dim)
-    x = np.asarray(doc["x"], dtype=float)
-    if x.shape != (dim,):
-        raise ConfigError(f"x must have dim {dim} coordinates")
+def _cmd_semigroup(out: Path, doc: dict, sp, dim: int, F, x) -> int:
     t = float(doc["t"])
     if t == 0.0:
         # resolvent products at t = 0 are the identity by convention
@@ -262,7 +240,7 @@ def _cmd_semigroup(args) -> int:
         )
         values = est.values
         schedule = list(est.schedule)
-    csv_path = Path(args.out) / doc.get("csv", "semigroup.csv")
+    csv_path = out / doc.get("csv", "semigroup.csv")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         cols = ["n", "t"] + [f"x_{i+1}" for i in range(dim)] + ["diff", "closed_form_error"]
@@ -282,36 +260,21 @@ def _cmd_semigroup(args) -> int:
         if est.axiom_checks is not None:
             summary["axiom_checks"] = est.axiom_checks
         if not est.cauchy_ok:
-            _write_json(Path(args.out) / doc.get("summary", "semigroup.json"), summary)
+            _write_json(out / doc.get("summary", "semigroup.json"), summary)
             print("semigroup: non-Cauchy value sequence", file=sys.stderr)
             return EXIT_NUMERIC
-    _write_json(Path(args.out) / doc.get("summary", "semigroup.json"), summary)
+    _write_json(out / doc.get("summary", "semigroup.json"), summary)
     print(f"semigroup: {len(schedule)} products -> {csv_path}")
     return EXIT_OK
 
 
-def _cmd_feasibility(args) -> int:
-    doc = _load_config(args.config, {"p": args.p, "dim": args.dim, "seed": args.seed})
-    _check_keys(
-        doc,
-        required={"p", "dim", "isometries", "x0"},
-        optional={"mode", "weights", "stop", "seed", "n_fejer", "csv", "summary"},
-    )
-    sp, dim = _space_and_dim(doc)
-    try:
-        specs = feasibility.load_instance_json(doc["isometries"], sp, dim)
-    except feasibility.IsometryCheckError as exc:
-        print(f"rejected isometry: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
-    x0 = np.asarray(doc["x0"], dtype=float)
-    if x0.shape != (dim,):
-        raise ConfigError(f"x0 must have dim {dim} coordinates")
+def _cmd_feasibility(out: Path, doc: dict, sp, dim: int, specs, x0) -> int:
     stop = _stop_rule(doc.get("stop", {}))
     mode = doc.get("mode", "alternating")
     seed = int(doc.get("seed", 0))
     n_fejer = int(doc.get("n_fejer", 5))
-    csv_path = Path(args.out) / doc.get("csv", "feasibility.csv")
-    summary_path = Path(args.out) / doc.get("summary", "feasibility.json")
+    csv_path = out / doc.get("csv", "feasibility.csv")
+    summary_path = out / doc.get("summary", "feasibility.json")
     try:
         if mode == "alternating":
             traj = feasibility.alternating_projections(
@@ -342,6 +305,34 @@ def _cmd_feasibility(args) -> int:
     return EXIT_OK
 
 
+# subcommand -> (handler, required keys, optional keys, input vector key);
+# every subcommand also takes "p", "dim" and an optional "seed"
+_COMMANDS = {
+    "certify": (
+        _cmd_certify,
+        {"operator", "property"},
+        {"alpha", "samples", "tol", "sampler", "w_grid", "report", "fix_sampler"},
+        None,
+    ),
+    "iterate": (
+        _cmd_iterate,
+        {"operator", "x0"},
+        {"stop", "n_fejer", "track_fix_projections", "csv", "summary"},
+        "x0",
+    ),
+    "resolvent": (_cmd_resolvent, {"operator", "lambdas", "x"}, {"tol", "report"}, "x"),
+    "semigroup": (
+        _cmd_semigroup, {"operator", "t", "schedule", "x"}, {"tol", "csv", "summary"}, "x"
+    ),
+    "feasibility": (
+        _cmd_feasibility,
+        {"isometries", "x0"},
+        {"mode", "weights", "stop", "n_fejer", "csv", "summary"},
+        "x0",
+    ),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="firmlp",
@@ -349,26 +340,23 @@ def main(argv=None) -> int:
         "iteration, resolvent and semigroup studies, feasibility solves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("certify", _cmd_certify),
-        ("iterate", _cmd_iterate),
-        ("resolvent", _cmd_resolvent),
-        ("semigroup", _cmd_semigroup),
-        ("feasibility", _cmd_feasibility),
-    ):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--dim", type=int, default=None, help="override config dim")
         p.add_argument("--p", type=float, default=None, help="override config p")
-        p.set_defaults(fn=fn)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    run, required, optional, vector = _COMMANDS[args.command]
     try:
-        return args.fn(args)
+        return run(Path(args.out), *_prepare(args, required, optional, vector))
+    except feasibility.IsometryCheckError as exc:
+        print(f"rejected isometry: {exc}", file=sys.stderr)
+        return EXIT_PROPERTY
     except (ConfigError, DimensionMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -111,9 +111,7 @@ class DivergenceError(RuntimeError):
         self.trajectory = trajectory
 
 
-def _attach_monitors(traj: Trajectory, T, monitors: MonitorConfig | None) -> Trajectory:
-    if monitors is None:
-        return traj
+def _attach_monitors(traj: Trajectory, T, monitors: MonitorConfig) -> Trajectory:
     sp = monitors.sp
     fixed_set = getattr(getattr(T, "meta", None), "fixed_points", None)
     pts = monitors.fejer_points
@@ -147,9 +145,14 @@ def picard_iterate(
     Step norms are measured in the lp norm of ``monitors.sp``.  The
     sub-tolerance final application is not appended (it moves the state by
     less than the tolerance); its displacement is kept as
-    ``final_residual``.  Iterates exceeding the overflow guard raise
-    ``DivergenceError`` carrying the partial trajectory.
+    ``final_residual``.  Iterates exceeding the overflow guard, or
+    overflowing to Inf or NaN, raise ``DivergenceError`` carrying the
+    partial trajectory.
     """
+    if monitors is None:
+        raise ValueError(
+            "picard_iterate needs monitors: they carry the space whose norm measures the steps"
+        )
     stop = stop or StopRule()
     p = monitors.sp.p
     x = np.asarray(x0, dtype=float).copy()
@@ -163,13 +166,17 @@ def picard_iterate(
     final_residual = np.inf
     while True:
         x_next = T(x)
-        step = float(lp_norm(x_next - x, p))
-        if step < stop.step_tol:
-            converged = True
-            reason = "step_tol"
-            final_residual = step
-            break
-        if float(lp_norm(x_next, p)) > guard:
+        try:
+            step = float(lp_norm(x_next - x, p))
+            if step < stop.step_tol:
+                converged = True
+                reason = "step_tol"
+                final_residual = step
+                break
+            escaped = float(lp_norm(x_next, p)) > guard
+        except ValueError:  # lp_norm rejects the Inf or NaN of an overflowed iterate
+            step, escaped = np.inf, True
+        if escaped:
             traj = Trajectory(
                 iterates=np.asarray(iterates),
                 step_norms=np.asarray(steps),

@@ -21,8 +21,8 @@ import numpy as np
 from .dynamics import MonitorConfig, StopRule, Trajectory, picard_iterate
 from .operators import (
     EMPTY_INTERSECTION,
+    Averaged,
     Compose,
-    ContractiveProjection,
     OperatorExpr,
     Scale,
     compose,
@@ -103,7 +103,7 @@ def projection_from_isometry(
         raise IsometryCheckError(
             f"U does not preserve the lp norm (error {iso[i]:.3e} at sample {x[i]})"
         )
-    P = ContractiveProjection(U)
+    P = Averaged(U, 0.5)
     px = P(x)
     idem = lp_norm(P(px) - px, p) / scale
     if np.any(idem > 1e-10):
@@ -111,7 +111,7 @@ def projection_from_isometry(
         raise IsometryCheckError(
             f"(Id+U)/2 is not idempotent (error {idem[i]:.3e} at sample {x[i]})"
         )
-    complement = ContractiveProjection(Compose((Scale(-1.0), U)))
+    complement = Averaged(Compose((Scale(-1.0), U)), 0.5)
     return ContractiveProjectionSpec(
         isometry=U,
         projection=P,

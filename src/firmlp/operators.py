@@ -8,8 +8,9 @@ provable about it: a nonexpansiveness flag, a firm constant ``alpha_firm``,
 an averaging constant ``averaged`` and, where exactly known, the
 fixed-point set as a convex-set descriptor.
 
-Constants are attached only by the factory functions in this module, which
-implement the propagation rules
+Each node's constructor derives its metadata, once, from its arguments and
+its operands' metadata, so an attached constant is always a proof.  The
+combinators implement the propagation rules
 
 * averaging:    (1-a)Id + aR with R nonexpansive is a-averaged and a-firm;
 * composition:  firm route (1 + (1 - a_max)/(n^(r-1) a_max))^(-1),
@@ -17,6 +18,8 @@ implement the propagation rules
 * convex sums:  firm route max(a_i), averaged route sum(w_i a_i);
 
 keeping the smaller (stronger) firm constant whenever both routes apply.
+The composition's firm route needs the power type r, so it applies only
+when the node is given the space.
 Fixed-point sets propagate through averaging (Fix((1-a)Id + aR) = Fix R)
 and intersect through compositions and convex combinations of operators
 that all carry firm constants (the quasi-firm calculus), provided the
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,29 +104,28 @@ ORIGIN = Box(0.0, 0.0)
 
 
 class OperatorExpr:
-    """Base class; subclasses implement ``_apply`` on (..., d) arrays."""
+    """Base class; subclasses implement ``_apply`` on (..., d) arrays.
+
+    Each subclass constructor sets ``meta`` and, where the node restricts
+    the dimension, ``dims`` = (minimum dimension, exact dimension or None).
+    """
 
     meta: OperatorMeta = _UNKNOWN
+    dims: tuple[int, int | None] = (1, None)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def dim_bounds(self) -> tuple[int, int | None]:
-        """(minimum dimension, exact dimension or None)."""
-        return (1, None)
-
-    def check_dim(self, d: int) -> None:
-        lo, exact = self.dim_bounds()
-        if exact is not None and d != exact:
-            raise DimensionMismatch(f"{type(self).__name__} requires dim {exact}, got {d}")
-        if d < lo:
-            raise DimensionMismatch(f"{type(self).__name__} requires dim >= {lo}, got {d}")
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
             raise DimensionMismatch("operators act on vectors, got a scalar")
-        self.check_dim(x.shape[-1])
+        d = x.shape[-1]
+        lo, exact = self.dims
+        if exact is not None and d != exact:
+            raise DimensionMismatch(f"{type(self).__name__} requires dim {exact}, got {d}")
+        if d < lo:
+            raise DimensionMismatch(f"{type(self).__name__} requires dim >= {lo}, got {d}")
         return self._apply(x)
 
     __call__ = apply
@@ -146,7 +148,6 @@ class Affine(OperatorExpr):
     W: np.ndarray
     b: np.ndarray
     p: float = 2.0
-    meta: OperatorMeta = field(default=_UNKNOWN)
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=float)
@@ -159,13 +160,10 @@ class Affine(OperatorExpr):
             raise ValueError("Affine offset must be a finite vector matching W")
         self.W = W
         self.b = b
-        if self.meta is _UNKNOWN:
-            self.meta = OperatorMeta(
-                proven_nonexpansive=bool(interpolation_norm_bound(W, self.p) <= 1.0)
-            )
-
-    def dim_bounds(self):
-        return (self.W.shape[0], self.W.shape[0])
+        self.dims = (W.shape[0], W.shape[0])
+        self.meta = OperatorMeta(
+            proven_nonexpansive=bool(interpolation_norm_bound(W, self.p) <= 1.0)
+        )
 
     def _apply(self, x):
         return x @ self.W.T + self.b
@@ -185,17 +183,15 @@ class Scale(OperatorExpr):
     """x -> factor * x."""
 
     factor: float
-    meta: OperatorMeta = field(default=_UNKNOWN)
 
     def __post_init__(self):
         self.factor = float(self.factor)
         if not math.isfinite(self.factor):
             raise ValueError("scale factor must be finite")
-        if self.meta is _UNKNOWN:
-            self.meta = OperatorMeta(
-                proven_nonexpansive=abs(self.factor) <= 1.0,
-                fixed_points=WHOLE_SPACE if self.factor == 1.0 else ORIGIN,
-            )
+        self.meta = OperatorMeta(
+            proven_nonexpansive=abs(self.factor) <= 1.0,
+            fixed_points=WHOLE_SPACE if self.factor == 1.0 else ORIGIN,
+        )
 
     def _apply(self, x):
         return self.factor * x
@@ -207,20 +203,31 @@ def identity() -> Scale:
 
 @dataclass(eq=False)
 class Truncate(OperatorExpr):
-    """Keep the first ``keep`` coordinates, zero the rest."""
+    """Keep the first ``keep`` coordinates, zero the rest.
+
+    Given the space, the node carries the exact firm constant c_r/(c_r + 2);
+    given the ambient dimension ``dim``, its coordinate-subspace fixed set.
+    """
 
     keep: int
-    meta: OperatorMeta = field(default=_UNKNOWN)
+    sp: SpaceParams | None = None
+    dim: int | None = None
 
     def __post_init__(self):
         self.keep = int(self.keep)
-        if self.keep < 1:
-            raise ValueError("Truncate requires keep >= 1")
-        if self.meta is _UNKNOWN:
-            self.meta = OperatorMeta(proven_nonexpansive=True)
-
-    def dim_bounds(self):
-        return (self.keep + 1, None)
+        self.dim = None if self.dim is None else int(self.dim)
+        if self.keep < 1 or (self.dim is not None and self.keep >= self.dim):
+            raise ValueError(f"truncation requires 1 <= k < dim, got k={self.keep}, dim={self.dim}")
+        self.dims = (self.keep + 1, None)
+        fixed = None
+        if self.dim is not None:
+            kept = np.arange(self.dim) < self.keep
+            fixed = Box(np.where(kept, -np.inf, 0.0), np.where(kept, np.inf, 0.0))
+        self.meta = OperatorMeta(
+            proven_nonexpansive=True,
+            alpha_firm=None if self.sp is None else self.sp.c_r / (self.sp.c_r + 2.0),
+            fixed_points=fixed,
+        )
 
     def _apply(self, x):
         out = np.array(x, copy=True)
@@ -234,20 +241,16 @@ class SwapIsometry(OperatorExpr):
 
     i: int
     j: int
-    meta: OperatorMeta = field(default=_UNKNOWN)
 
     def __post_init__(self):
         self.i, self.j = int(self.i), int(self.j)
         if self.i < 0 or self.j < 0 or self.i == self.j:
             raise ValueError("swap indices must be distinct and nonnegative")
-        if self.meta is _UNKNOWN:
-            self.meta = OperatorMeta(
-                proven_nonexpansive=True,
-                fixed_points=AffineEqual(groups=((self.i, self.j),)),
-            )
-
-    def dim_bounds(self):
-        return (max(self.i, self.j) + 1, None)
+        self.dims = (max(self.i, self.j) + 1, None)
+        self.meta = OperatorMeta(
+            proven_nonexpansive=True,
+            fixed_points=AffineEqual(groups=((self.i, self.j),)),
+        )
 
     def _apply(self, x):
         out = np.array(x, copy=True)
@@ -277,20 +280,18 @@ class Activation(OperatorExpr):
     """
 
     name: str
-    meta: OperatorMeta = field(default=_UNKNOWN)
 
     def __post_init__(self):
         if self.name not in _ACTIVATIONS:
             raise ValueError(
                 f"unknown activation {self.name!r}; choose from {sorted(_ACTIVATIONS)}"
             )
-        if self.meta is _UNKNOWN:
-            self.meta = OperatorMeta(
-                proven_nonexpansive=True,
-                alpha_firm=0.5,
-                averaged=0.5,
-                fixed_points=_ACTIVATION_FIX[self.name],
-            )
+        self.meta = OperatorMeta(
+            proven_nonexpansive=True,
+            alpha_firm=0.5,
+            averaged=0.5,
+            fixed_points=_ACTIVATION_FIX[self.name],
+        )
 
     def _apply(self, x):
         return _ACTIVATIONS[self.name](x)
@@ -307,24 +308,20 @@ class Averaged(OperatorExpr):
 
     inner: OperatorExpr
     alpha: float
-    meta: OperatorMeta = field(default=_UNKNOWN)
 
     def __post_init__(self):
         self.alpha = float(self.alpha)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("averaging constant must lie in (0, 1)")
-        if self.meta is _UNKNOWN:
-            proven = self.inner.meta.proven_nonexpansive
-            self.meta = OperatorMeta(
-                proven_nonexpansive=proven,
-                alpha_firm=self.alpha if proven else None,
-                averaged=self.alpha if proven else None,
-                # Fix((1-a)Id + aR) = Fix R exactly, for any a in (0, 1)
-                fixed_points=self.inner.meta.fixed_points,
-            )
-
-    def dim_bounds(self):
-        return self.inner.dim_bounds()
+        self.dims = self.inner.dims
+        proven = self.inner.meta.proven_nonexpansive
+        self.meta = OperatorMeta(
+            proven_nonexpansive=proven,
+            alpha_firm=self.alpha if proven else None,
+            averaged=self.alpha if proven else None,
+            # Fix((1-a)Id + aR) = Fix R exactly, for any a in (0, 1)
+            fixed_points=self.inner.meta.fixed_points,
+        )
 
     def _apply(self, x):
         return (1.0 - self.alpha) * x + self.alpha * self.inner._apply(x)
@@ -336,42 +333,22 @@ def averaged(R: OperatorExpr, alpha: float) -> Averaged:
     return Averaged(R, alpha)
 
 
-@dataclass(eq=False)
-class ContractiveProjection(OperatorExpr):
-    """(Id + U)/2 for an isometric involution U; equals Averaged(U, 1/2).
+def contractive_projection(U: OperatorExpr) -> Averaged:
+    """(Id + U)/2 for an isometric involution U, i.e. Averaged(U, 1/2).
 
-    This constructor trusts the caller about U; the feasibility module
-    provides a sample-checked builder.
+    This trusts the caller about U; the feasibility module provides a
+    sample-checked builder.
     """
-
-    isometry: OperatorExpr
-    meta: OperatorMeta = field(default=_UNKNOWN)
-
-    def __post_init__(self):
-        if self.meta is _UNKNOWN:
-            proven = self.isometry.meta.proven_nonexpansive
-            self.meta = OperatorMeta(
-                proven_nonexpansive=proven,
-                alpha_firm=0.5 if proven else None,
-                averaged=0.5 if proven else None,
-                fixed_points=self.isometry.meta.fixed_points,
-            )
-
-    def dim_bounds(self):
-        return self.isometry.dim_bounds()
-
-    def _apply(self, x):
-        return 0.5 * (x + self.isometry._apply(x))
+    return Averaged(U, 0.5)
 
 
-def contractive_projection(U: OperatorExpr) -> ContractiveProjection:
-    return ContractiveProjection(U)
+ContractiveProjection = contractive_projection
 
 
-def _merged_dim_bounds(ops) -> tuple[int, int | None]:
+def _merged_dims(ops) -> tuple[int, int | None]:
     lo, exact = 1, None
     for op in ops:
-        olo, oexact = op.dim_bounds()
+        olo, oexact = op.dims
         lo = max(lo, olo)
         if oexact is not None:
             if exact is not None and exact != oexact:
@@ -384,26 +361,57 @@ def _merged_dim_bounds(ops) -> tuple[int, int | None]:
     return lo, exact
 
 
+def _combined_meta(ops, firm, avg, fixed_sets) -> OperatorMeta:
+    """Metadata of a combination of ``ops`` whose firm and averaged routes
+    gave ``firm`` and ``avg`` (None where a route does not apply).
+
+    ``fixed_sets`` are intersected only when every operand carries a firm
+    constant and the intersection is structurally nonempty, as the
+    quasi-firm calculus needs.
+    """
+    candidates = [a for a in (firm, avg) if a is not None]
+    fixed = None
+    if all(op.meta.alpha_firm is not None for op in ops):
+        fixed = merge_fixed_point_sets(fixed_sets)
+        if fixed is EMPTY_INTERSECTION:
+            fixed = None
+    return OperatorMeta(
+        proven_nonexpansive=all(op.meta.proven_nonexpansive for op in ops),
+        alpha_firm=min(candidates) if candidates else None,
+        averaged=avg,
+        fixed_points=fixed,
+    )
+
+
 @dataclass(eq=False)
 class Compose(OperatorExpr):
-    """ops[0] applied last: Compose([A, B])(x) = A(B(x))."""
+    """ops[0] applied last: Compose([A, B])(x) = A(B(x)).
+
+    The firm route needs every operand to carry a firm constant and the
+    space ``sp`` (its constant depends on r); the averaged route needs every
+    operand to carry an averaging constant.  The smaller resulting firm
+    constant is kept.
+    """
 
     ops: tuple
-    meta: OperatorMeta = field(default=_UNKNOWN)
+    sp: SpaceParams | None = None
 
     def __post_init__(self):
         ops = tuple(self.ops)
         if not ops:
-            raise ValueError("Compose requires at least one operand")
+            raise ValueError("compose requires at least one operator")
         self.ops = ops
-        _merged_dim_bounds(ops)
-        if self.meta is _UNKNOWN:
-            self.meta = OperatorMeta(
-                proven_nonexpansive=all(op.meta.proven_nonexpansive for op in ops)
-            )
-
-    def dim_bounds(self):
-        return _merged_dim_bounds(self.ops)
+        self.dims = _merged_dims(ops)
+        alphas = [op.meta.alpha_firm for op in ops]
+        firm = None
+        if self.sp is not None and all(a is not None for a in alphas):
+            a_max = max(alphas)
+            firm = 1.0 / (1.0 + (1.0 - a_max) / (len(ops) ** (self.sp.r - 1.0) * a_max))
+        avgs = [op.meta.averaged for op in ops]
+        avg = None
+        if all(a is not None for a in avgs):
+            avg = 1.0 - math.prod(1.0 - a for a in avgs)
+        self.meta = _combined_meta(ops, firm, avg, [op.meta.fixed_points for op in ops])
 
     def _apply(self, x):
         for op in reversed(self.ops):
@@ -413,11 +421,15 @@ class Compose(OperatorExpr):
 
 @dataclass(eq=False)
 class ConvexCombo(OperatorExpr):
-    """sum_i weights[i] * ops[i](x)."""
+    """sum_i weights[i] * ops[i](x).
+
+    Constants are r-independent.  Firm route: max of the operand constants.
+    Averaged route: the weighted sum of averaging constants.  Fixed-point
+    sets intersect over operands with positive weight.
+    """
 
     ops: tuple
     weights: tuple
-    meta: OperatorMeta = field(default=_UNKNOWN)
 
     def __post_init__(self):
         ops = tuple(self.ops)
@@ -428,14 +440,15 @@ class ConvexCombo(OperatorExpr):
             raise ValueError("weights must be nonnegative and sum to 1")
         self.ops = ops
         self.weights = tuple(float(v) for v in w)
-        _merged_dim_bounds(ops)
-        if self.meta is _UNKNOWN:
-            self.meta = OperatorMeta(
-                proven_nonexpansive=all(op.meta.proven_nonexpansive for op in ops)
-            )
-
-    def dim_bounds(self):
-        return _merged_dim_bounds(self.ops)
+        self.dims = _merged_dims(ops)
+        alphas = [op.meta.alpha_firm for op in ops]
+        firm = max(alphas) if all(a is not None for a in alphas) else None
+        avgs = [op.meta.averaged for op in ops]
+        avg = None
+        if all(a is not None for a in avgs):
+            avg = float(sum(w * a for w, a in zip(self.weights, avgs)))
+        active = [op.meta.fixed_points for op, w in zip(ops, self.weights) if w > 0.0]
+        self.meta = _combined_meta(ops, firm, avg, active)
 
     def _apply(self, x):
         out = self.weights[0] * self.ops[0]._apply(x)
@@ -456,23 +469,19 @@ class Resolvent(OperatorExpr):
     lam: float
     p: float = 2.0
     tol: float = 1e-12
-    meta: OperatorMeta = field(default=_UNKNOWN)
 
     def __post_init__(self):
         self.lam = float(self.lam)
         if self.lam < 0.0:
             raise ValueError("resolvent parameter lam must be >= 0")
-        if self.meta is _UNKNOWN:
-            proven = self.inner.meta.proven_nonexpansive
-            self.meta = OperatorMeta(
-                proven_nonexpansive=proven,
-                alpha_firm=0.5 if proven else None,
-                # Fix F = Fix R_lam whenever F is nonexpansive
-                fixed_points=self.inner.meta.fixed_points if proven else None,
-            )
-
-    def dim_bounds(self):
-        return self.inner.dim_bounds()
+        self.dims = self.inner.dims
+        proven = self.inner.meta.proven_nonexpansive
+        self.meta = OperatorMeta(
+            proven_nonexpansive=proven,
+            alpha_firm=0.5 if proven else None,
+            # Fix F = Fix R_lam whenever F is nonexpansive
+            fixed_points=self.inner.meta.fixed_points if proven else None,
+        )
 
     def _apply(self, x):
         if self.lam == 0.0:
@@ -503,71 +512,13 @@ class Resolvent(OperatorExpr):
 
 
 def compose(ops, sp: SpaceParams) -> Compose:
-    """Composition with constant propagation; ops[0] is applied last.
-
-    The firm route needs every operand to carry a firm constant; the
-    averaged route needs every operand to carry an averaging constant.  The
-    smaller resulting firm constant is kept.  Fixed-point sets intersect
-    when every operand carries a firm constant and the merge is structurally
-    nonempty.
-    """
-    ops = list(ops)
-    if not ops:
-        raise ValueError("compose requires at least one operator")
-    n = len(ops)
-    firm = None
-    alphas = [op.meta.alpha_firm for op in ops]
-    if all(a is not None for a in alphas):
-        a_max = max(alphas)
-        firm = 1.0 / (1.0 + (1.0 - a_max) / (n ** (sp.r - 1.0) * a_max))
-    avg = None
-    avgs = [op.meta.averaged for op in ops]
-    if all(a is not None for a in avgs):
-        avg = 1.0 - math.prod(1.0 - a for a in avgs)
-    candidates = [a for a in (firm, avg) if a is not None]
-    fixed = None
-    if all(a is not None for a in alphas):
-        fixed = merge_fixed_point_sets([op.meta.fixed_points for op in ops])
-        if fixed is EMPTY_INTERSECTION:
-            fixed = None  # the quasi-firm calculus needs a nonempty intersection
-    meta = OperatorMeta(
-        proven_nonexpansive=all(op.meta.proven_nonexpansive for op in ops),
-        alpha_firm=min(candidates) if candidates else None,
-        averaged=avg,
-        fixed_points=fixed,
-    )
-    return Compose(tuple(ops), meta=meta)
+    """Composition in the space sp; ops[0] is applied last."""
+    return Compose(tuple(ops), sp)
 
 
 def convex_combination(ops, weights, sp: SpaceParams) -> ConvexCombo:
-    """Weighted sum with constant propagation (constants are r-independent).
-
-    Firm route: max of the operand constants.  Averaged route: the weighted
-    sum of averaging constants.  Fixed-point sets intersect over operands
-    with positive weight when all operands carry firm constants.
-    """
-    ops = list(ops)
-    expr = ConvexCombo(tuple(ops), tuple(weights))
-    alphas = [op.meta.alpha_firm for op in ops]
-    firm = max(alphas) if all(a is not None for a in alphas) else None
-    avgs = [op.meta.averaged for op in ops]
-    avg = None
-    if all(a is not None for a in avgs):
-        avg = float(sum(w * a for w, a in zip(expr.weights, avgs)))
-    candidates = [a for a in (firm, avg) if a is not None]
-    fixed = None
-    if all(a is not None for a in alphas):
-        active = [op.meta.fixed_points for op, w in zip(ops, expr.weights) if w > 0.0]
-        fixed = merge_fixed_point_sets(active)
-        if fixed is EMPTY_INTERSECTION:
-            fixed = None
-    expr.meta = OperatorMeta(
-        proven_nonexpansive=all(op.meta.proven_nonexpansive for op in ops),
-        alpha_firm=min(candidates) if candidates else None,
-        averaged=avg,
-        fixed_points=fixed,
-    )
-    return expr
+    """Weighted sum of ops; its constants do not depend on the space sp."""
+    return ConvexCombo(tuple(ops), tuple(weights))
 
 
 def _box_contains_zero(B: Box) -> bool:
@@ -690,17 +641,7 @@ def _merge_affine_equal(sets):
 def truncation_operator(k: int, sp: SpaceParams, dim: int) -> Truncate:
     """Truncation to the first k of dim coordinates, with its exact firm
     constant c_r/(c_r + 2) and coordinate-subspace fixed set."""
-    k, dim = int(k), int(dim)
-    if not 1 <= k < dim:
-        raise ValueError(f"truncation requires 1 <= k < dim, got k={k}, dim={dim}")
-    lower = np.where(np.arange(dim) < k, -np.inf, 0.0)
-    upper = np.where(np.arange(dim) < k, np.inf, 0.0)
-    meta = OperatorMeta(
-        proven_nonexpansive=True,
-        alpha_firm=sp.c_r / (sp.c_r + 2.0),
-        fixed_points=Box(lower, upper),
-    )
-    return Truncate(k, meta=meta)
+    return Truncate(k, sp, dim)
 
 
 def guaranteed_nonexpansive_affine(W, b, p: float) -> Affine:
@@ -762,8 +703,6 @@ def operator_to_json(T: OperatorExpr) -> dict:
         return {"kind": "activation", "name": T.name}
     if isinstance(T, Averaged):
         return {"kind": "averaged", "alpha": T.alpha, "inner": operator_to_json(T.inner)}
-    if isinstance(T, ContractiveProjection):
-        return {"kind": "contractive_projection", "isometry": operator_to_json(T.isometry)}
     if isinstance(T, Compose):
         return {"kind": "compose", "ops": [operator_to_json(op) for op in T.ops]}
     if isinstance(T, ConvexCombo):
@@ -778,8 +717,9 @@ def operator_to_json(T: OperatorExpr) -> dict:
 
 
 def operator_from_json(doc: dict, sp: SpaceParams, dim: int) -> OperatorExpr:
-    """Build an operator from its JSON description, attaching metadata via
-    the factory functions (so constants are propagated, never parsed)."""
+    """Build an operator from its JSON description.  Metadata is derived by
+    the node constructors (constants are propagated, never parsed); the kind
+    ``contractive_projection`` is read as ``averaged`` with alpha 1/2."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("operator document must be an object with a 'kind' tag")
     kind = doc["kind"]

@@ -151,7 +151,7 @@ def _group_minimizer(vals: np.ndarray, p: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def project(C, x, sp: SpaceParams, tol: float = 1e-12) -> np.ndarray:
+def project(C, x, sp: SpaceParams) -> np.ndarray:
     """Metric projection of x (batched along leading axes) onto C."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):

@@ -137,6 +137,21 @@ class TestIterateCommand:
         # partial output still written
         assert (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_is_numeric_exit3(self, tmp_path):
+        doc = {
+            "p": 3.0,
+            "dim": 2,
+            "operator": {"kind": "scale", "factor": 1e300},
+            "x0": [1e10, 0.0],
+        }
+        cfg = write_config(tmp_path, "i.json", doc)
+        assert main(["iterate", "--config", cfg, "--out", str(tmp_path)]) == 3
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["stop_reason"] == "divergence"
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert len(lines) == 2  # header plus x0; the overflowed step is not kept
+
 
 class TestResolventCommand:
     def test_closed_form_values(self, tmp_path):

@@ -72,6 +72,10 @@ class TestPicard:
         assert partial.stop_reason == "divergence"
         assert len(partial.iterates) >= 2
 
+    def test_monitors_required(self):
+        with pytest.raises(ValueError, match="monitors"):
+            picard_iterate(identity(), np.array([1.0, 2.0]), StopRule(), None)
+
     def test_max_iter_stop(self):
         T = Scale(0.999999)
         traj = picard_iterate(

@@ -12,6 +12,8 @@ from firmlp.operators import (
     ConvexCombo,
     DimensionMismatch,
     EMPTY_INTERSECTION,
+    OperatorMeta,
+    Resolvent,
     Scale,
     SwapIsometry,
     Truncate,
@@ -34,6 +36,18 @@ from firmlp.space import lp_norm, space_params
 
 SP2 = space_params(2.0)
 SP3 = space_params(3.0)
+
+
+def assert_same_meta(a, b):
+    assert (a.proven_nonexpansive, a.alpha_firm, a.averaged) == (
+        b.proven_nonexpansive, b.alpha_firm, b.averaged
+    )
+    if isinstance(a.fixed_points, Box):
+        assert isinstance(b.fixed_points, Box)
+        assert np.array_equal(a.fixed_points.lower, b.fixed_points.lower)
+        assert np.array_equal(a.fixed_points.upper, b.fixed_points.upper)
+    else:
+        assert a.fixed_points == b.fixed_points
 
 
 class TestApply:
@@ -150,6 +164,13 @@ class TestCompose:
         with pytest.raises(ValueError):
             compose([], SP2)
 
+    @pytest.mark.parametrize("sp", [SP2, SP3])
+    def test_class_matches_factory(self, sp):
+        ops = [averaged(SwapIsometry(0, 1), 0.5), averaged(SwapIsometry(1, 2), 0.5)]
+        assert_same_meta(Compose(tuple(ops), sp).meta, compose(ops, sp).meta)
+        ops = [truncation_operator(1, sp, 4), averaged(SwapIsometry(0, 1), 0.5)]
+        assert_same_meta(Compose(tuple(ops), sp).meta, compose(ops, sp).meta)
+
     def test_associativity(self):
         rng = np.random.default_rng(0)
         A = averaged(SwapIsometry(0, 1), 0.5)
@@ -191,6 +212,12 @@ class TestConvexCombination:
         T = convex_combination(ops, [0.2, 0.3, 0.5], sp)
         assert T.meta.alpha_firm == pytest.approx(0.2, rel=1e-15)
 
+    def test_class_matches_factory(self):
+        ops = [averaged(SwapIsometry(0, 1), 0.3), truncation_operator(2, SP3, 4)]
+        T = ConvexCombo(tuple(ops), (0.25, 0.75))
+        assert T.meta.alpha_firm == pytest.approx(0.3, rel=1e-15)
+        assert_same_meta(T.meta, convex_combination(ops, [0.25, 0.75], SP3).meta)
+
     def test_weight_validation(self):
         ops = [Scale(0.5), Scale(0.25)]
         with pytest.raises(ValueError):
@@ -212,6 +239,11 @@ class TestTruncation:
         T = truncation_operator(2, SP3, 5)
         x = np.array([1.0, -2.0, 0.0, 0.0, 0.0])
         assert np.allclose(T(x), x)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_class_matches_factory(self, p):
+        sp = space_params(p)
+        assert_same_meta(Truncate(2, sp, 5).meta, truncation_operator(2, sp, 5).meta)
 
     def test_range_check(self):
         with pytest.raises(ValueError):
@@ -353,6 +385,34 @@ class TestFixedPointMerging:
         assert np.allclose(P(x), [2.0, 2.0, 5.0])
 
 
+    def test_contractive_projection_is_averaged_half(self):
+        U = SwapIsometry(1, 2)
+        P = ContractiveProjection(U)
+        assert isinstance(P, Averaged) and P.alpha == 0.5
+        x = np.random.default_rng(4).uniform(-10, 10, size=(1000, 4))
+        assert np.array_equal(P(x), 0.5 * (x + U(x)))
+
+
+class TestMetadataIsDerived:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda meta: Scale(2.0, meta=meta),
+            lambda meta: Truncate(1, meta=meta),
+            lambda meta: SwapIsometry(0, 1, meta=meta),
+            lambda meta: Activation("relu", meta=meta),
+            lambda meta: Affine(np.eye(2), np.zeros(2), meta=meta),
+            lambda meta: Averaged(Scale(2.0), 0.5, meta=meta),
+            lambda meta: Compose((Scale(2.0),), meta=meta),
+            lambda meta: ConvexCombo((Scale(2.0),), (1.0,), meta=meta),
+            lambda meta: Resolvent(Scale(2.0), 1.0, meta=meta),
+        ],
+    )
+    def test_meta_keyword_rejected(self, build):
+        with pytest.raises(TypeError):
+            build(OperatorMeta(proven_nonexpansive=True, alpha_firm=0.01))
+
+
 class TestJsonRoundTrip:
     def cases(self):
         yield averaged(SwapIsometry(0, 1), 0.5)
@@ -385,6 +445,14 @@ class TestJsonRoundTrip:
         R2 = operator_from_json(doc, SP2, 2)
         x = np.array([3.0, 0.0])
         assert np.allclose(R(x), R2(x), atol=1e-11)
+
+    def test_contractive_projection_kind_reads_as_averaged(self):
+        doc = {"kind": "contractive_projection", "isometry": {"kind": "swap", "i": 0, "j": 1}}
+        T = operator_from_json(doc, SP3, 3)
+        assert isinstance(T, Averaged) and T.alpha == 0.5
+        assert operator_to_json(T) == {
+            "kind": "averaged", "alpha": 0.5, "inner": {"kind": "swap", "i": 0, "j": 1}
+        }
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
