@@ -22,7 +22,7 @@ import numpy as np
 
 from . import certify as cert
 from . import dynamics, feasibility
-from .operators import DimensionMismatch, ResolventDiverged, operator_from_json
+from .operators import DimensionMismatch, ResolventDiverged, json_value, operator_from_json
 from .space import lp_norm, space_params
 
 __all__ = ["main"]
@@ -41,6 +41,10 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
+
+
 def _load_config(path: str, overrides: dict) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -55,24 +59,15 @@ def _load_config(path: str, overrides: dict) -> dict:
     return doc
 
 
-def _check_keys(doc: dict, required: set, optional: set) -> None:
+def _check_keys(doc, required: set, optional: set, what: str = "config") -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object")
     missing = required - doc.keys()
     if missing:
-        raise ConfigError(f"missing config keys: {sorted(missing)}")
+        raise ConfigError(f"missing {what} keys: {sorted(missing)}")
     unknown = doc.keys() - required - optional
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-
-def _space_and_dim(doc: dict):
-    try:
-        sp = space_params(float(doc["p"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    dim = int(doc["dim"])
-    if dim < 1:
-        raise ConfigError("dim must be >= 1")
-    return sp, dim
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 def _prepare(args, required: set, optional: set, vector: str | None):
@@ -81,43 +76,40 @@ def _prepare(args, required: set, optional: set, vector: str | None):
     of the input vector, in that order; returns (doc, sp, dim, op, vector)."""
     doc = _load_config(args.config, {"p": args.p, "dim": args.dim, "seed": args.seed})
     _check_keys(doc, required | {"p", "dim"}, optional | {"seed"})
-    sp, dim = _space_and_dim(doc)
+    sp = space_params(json_value(doc, "p", float))
+    dim = json_value(doc, "dim", int)
+    if dim < 1:
+        raise ConfigError("dim must be >= 1")
     if "operator" in doc:
         op = operator_from_json(doc["operator"], sp, dim)
     else:
-        op = feasibility.load_instance_json(doc["isometries"], sp, dim)
+        op = feasibility.load_instance_json(json_value(doc, "isometries", list), sp, dim)
     vec = None
     if vector is not None:
-        vec = np.asarray(doc[vector], dtype=float)
+        vec = json_value(doc, vector, lambda v: np.asarray(v, dtype=float))
         if vec.shape != (dim,):
             raise ConfigError(f"{vector} must have dim {dim} coordinates")
     return doc, sp, dim, op, vec
 
 
 def _sampler_from(doc: dict, seed: int, dim: int) -> cert.Sampler:
-    allowed = {"dist", "low", "high", "scale", "min_norm"}
-    unknown = doc.keys() - allowed
-    if unknown:
-        raise ConfigError(f"unknown sampler keys: {sorted(unknown)}")
+    _check_keys(doc, set(), {"dist", "low", "high", "scale", "min_norm"}, "sampler")
     return cert.Sampler(
         seed=seed,
         dim=dim,
         dist=doc.get("dist", "uniform"),
-        low=float(doc.get("low", -10.0)),
-        high=float(doc.get("high", 10.0)),
-        scale=float(doc.get("scale", 1.0)),
-        min_norm=doc.get("min_norm"),
+        low=json_value(doc, "low", float, -10.0),
+        high=json_value(doc, "high", float, 10.0),
+        scale=json_value(doc, "scale", float, 1.0),
+        min_norm=json_value(doc, "min_norm", lambda v: None if v is None else float(v), None),
     )
 
 
 def _stop_rule(doc: dict) -> dynamics.StopRule:
-    allowed = {"step_tol", "max_iter"}
-    unknown = doc.keys() - allowed
-    if unknown:
-        raise ConfigError(f"unknown stop-rule keys: {sorted(unknown)}")
+    _check_keys(doc, set(), {"step_tol", "max_iter"}, "stop-rule")
     return dynamics.StopRule(
-        step_tol=float(doc.get("step_tol", 1e-10)),
-        max_iter=int(doc.get("max_iter", 100_000)),
+        step_tol=json_value(doc, "step_tol", float, 1e-10),
+        max_iter=json_value(doc, "max_iter", int, 100_000),
     )
 
 
@@ -128,14 +120,13 @@ def _write_json(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
-def _write_trajectory(path: Path, traj: dynamics.Trajectory) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def _write_run(csv_path: Path, summary_path: Path, traj: dynamics.Trajectory, **extra) -> None:
+    """Write the trajectory CSV and its summary JSON, with ``extra`` keys
+    (such as "error" after a failed run) added to the summary."""
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         dynamics.trajectory_to_csv(traj, fh)
-
-
-def _summary_of(traj: dynamics.Trajectory, sp) -> dict:
-    doc = {
+    summary = {
         "iterations": int(len(traj.step_norms)),
         "converged": traj.converged,
         "stop_reason": traj.stop_reason,
@@ -145,46 +136,42 @@ def _summary_of(traj: dynamics.Trajectory, sp) -> dict:
     if traj.fejer_distances is not None:
         gaps = np.diff(traj.fejer_distances, axis=0)
         slack = 1e-12 * np.maximum(traj.fejer_distances[0], 1.0)
-        doc["fejer_nonincreasing"] = bool(np.all(gaps <= slack[None, :]))
-        doc["fejer_final_distances"] = traj.fejer_distances[-1].tolist()
-    return doc
+        summary["fejer_nonincreasing"] = bool(np.all(gaps <= slack[None, :]))
+        summary["fejer_final_distances"] = traj.fejer_distances[-1].tolist()
+    _write_json(summary_path, summary | extra)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_certify(out: Path, doc: dict, sp, dim: int, T, _) -> int:
-    seed = int(doc.get("seed", 0))
-    n = int(doc.get("samples", 10_000))
-    tol = float(doc.get("tol", cert.DEFAULT_TOL))
+    seed = json_value(doc, "seed", int, 0)
+    n = json_value(doc, "samples", int, 10_000)
+    tol = json_value(doc, "tol", float, cert.DEFAULT_TOL)
     sampler = _sampler_from(doc.get("sampler", {}), seed, dim)
     prop = doc["property"]
     if prop == "nonexpansive":
         report = cert.certify_nonexpansive(T, sp.p, sampler, n=n, tol=tol)
     elif prop == "alpha_firm":
-        if "alpha" not in doc:
-            raise ConfigError("property alpha_firm needs an 'alpha' key")
         second = _sampler_from(doc.get("sampler", {}), seed + 1, dim)
         report = cert.certify_alpha_firm(
-            T, float(doc["alpha"]), sp, (sampler, second), n=n, tol=tol
+            T, json_value(doc, "alpha", float), sp, (sampler, second), n=n, tol=tol
         )
     elif prop == "quasi_alpha_firm":
-        if "alpha" not in doc:
-            raise ConfigError("property quasi_alpha_firm needs an 'alpha' key")
         fix_doc = doc.get("fix_sampler")
         fix_sampler = None
         if fix_doc is not None:
             fix_sampler = _sampler_from(fix_doc, seed + 1, dim)
             fix_sampler.constraint = T.meta.fixed_points
         report = cert.certify_quasi_alpha_firm(
-            T, float(doc["alpha"]), sp, fix_sampler, sampler, n=n, tol=tol
+            T, json_value(doc, "alpha", float), sp, fix_sampler, sampler, n=n, tol=tol
         )
     elif prop == "bruck":
         grid = doc.get("w_grid")
         report = cert.certify_bruck_firm(T, sp, sampler, w_grid=grid, n=n, tol=tol)
     else:
         raise ConfigError(f"unknown property {prop!r}")
-    path = out / doc.get("report", "certify_report.json")
+    path = json_value(doc, "report", out.joinpath, "certify_report.json")
     _write_json(path, cert.report_to_json(report))
     print(f"{report.property}: {'PASS' if report.passed else 'FAIL'} "
           f"(worst residual {_fmt(report.worst_residual)}) -> {path}")
@@ -195,93 +182,82 @@ def _cmd_iterate(out: Path, doc: dict, sp, dim: int, T, x0) -> int:
     stop = _stop_rule(doc.get("stop", {}))
     monitors = dynamics.MonitorConfig(
         sp=sp,
-        auto_fejer=int(doc.get("n_fejer", 0)),
-        seed=int(doc.get("seed", 0)),
+        auto_fejer=json_value(doc, "n_fejer", int, 0),
+        seed=json_value(doc, "seed", int, 0),
         track_fix_projections=bool(doc.get("track_fix_projections", False)),
     )
-    csv_path = out / doc.get("csv", "trajectory.csv")
-    summary_path = out / doc.get("summary", "summary.json")
+    csv_path = json_value(doc, "csv", out.joinpath, "trajectory.csv")
+    summary_path = json_value(doc, "summary", out.joinpath, "summary.json")
     try:
         traj = dynamics.picard_iterate(T, x0, stop, monitors)
     except dynamics.DivergenceError as exc:
-        _write_trajectory(csv_path, exc.trajectory)
-        _write_json(summary_path, _summary_of(exc.trajectory, sp) | {"error": str(exc)})
+        _write_run(csv_path, summary_path, exc.trajectory, error=str(exc))
         print(f"divergence: {exc} -> {csv_path}", file=sys.stderr)
         return EXIT_NUMERIC
-    _write_trajectory(csv_path, traj)
-    _write_json(summary_path, _summary_of(traj, sp))
+    _write_run(csv_path, summary_path, traj)
     print(f"iterate: {traj.stop_reason} after {len(traj.step_norms)} steps -> {csv_path}")
     return EXIT_OK
 
 
 def _cmd_resolvent(out: Path, doc: dict, sp, dim: int, F, x) -> int:
-    tol = float(doc.get("tol", 1e-12))
+    tol = json_value(doc, "tol", float, 1e-12)
     rows = []
-    for lam in doc["lambdas"]:
-        y = dynamics.resolvent_apply(F, float(lam), x, sp, tol=tol)
-        rows.append({"lam": float(lam), "value": y.tolist(),
+    for lam in json_value(doc, "lambdas", _floats):
+        y = dynamics.resolvent_apply(F, lam, x, sp, tol=tol)
+        rows.append({"lam": lam, "value": y.tolist(),
                      "displacement": float(lp_norm(y - x, sp.p))})
-    path = out / doc.get("report", "resolvent.json")
+    path = json_value(doc, "report", out.joinpath, "resolvent.json")
     _write_json(path, {"p": sp.p, "x": x.tolist(), "results": rows})
     print(f"resolvent: {len(rows)} parameter values -> {path}")
     return EXIT_OK
 
 
 def _cmd_semigroup(out: Path, doc: dict, sp, dim: int, F, x) -> int:
-    t = float(doc["t"])
-    if t == 0.0:
-        # resolvent products at t = 0 are the identity by convention
-        est = None
-        values = np.asarray([x])
-        schedule = [int(doc["schedule"][0])] if doc["schedule"] else [1]
-    else:
-        est = dynamics.semigroup_limit_estimate(
-            F, t, x, doc["schedule"], sp, tol=float(doc.get("tol", 1e-8))
-        )
-        values = est.values
-        schedule = list(est.schedule)
-    csv_path = out / doc.get("csv", "semigroup.csv")
+    t = json_value(doc, "t", float)
+    schedule = json_value(doc, "schedule", lambda ns: [int(n) for n in ns])
+    tol = json_value(doc, "tol", float, 1e-8)
+    est = dynamics.semigroup_limit_estimate(F, t, x, schedule, sp, tol=tol)
+    errors = est.closed_form_errors
+    csv_path = json_value(doc, "csv", out.joinpath, "semigroup.csv")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         cols = ["n", "t"] + [f"x_{i+1}" for i in range(dim)] + ["diff", "closed_form_error"]
         fh.write(",".join(cols) + "\n")
-        for k, n in enumerate(schedule):
-            row = [str(n), _fmt(t)] + [_fmt(v) for v in values[k]]
-            row.append("" if (est is None or k == 0) else _fmt(est.diffs[k - 1]))
-            row.append(
-                _fmt(est.closed_form_errors[k])
-                if est is not None and est.closed_form_errors is not None
-                else ""
-            )
+        for k, n in enumerate(est.schedule):
+            row = [str(n), _fmt(t)] + [_fmt(v) for v in est.values[k]]
+            row.append("" if k == 0 else _fmt(est.diffs[k - 1]))
+            row.append("" if errors is None else _fmt(errors[k]))
             fh.write(",".join(row) + "\n")
-    summary = {"t": t, "schedule": schedule, "value": values[-1].tolist()}
-    if est is not None:
-        summary["cauchy_ok"] = est.cauchy_ok
-        if est.axiom_checks is not None:
-            summary["axiom_checks"] = est.axiom_checks
-        if not est.cauchy_ok:
-            _write_json(out / doc.get("summary", "semigroup.json"), summary)
-            print("semigroup: non-Cauchy value sequence", file=sys.stderr)
-            return EXIT_NUMERIC
-    _write_json(out / doc.get("summary", "semigroup.json"), summary)
-    print(f"semigroup: {len(schedule)} products -> {csv_path}")
+    summary = {
+        "t": t,
+        "schedule": list(est.schedule),
+        "value": est.value.tolist(),
+        "cauchy_ok": est.cauchy_ok,
+    }
+    if est.axiom_checks is not None:
+        summary["axiom_checks"] = est.axiom_checks
+    _write_json(json_value(doc, "summary", out.joinpath, "semigroup.json"), summary)
+    if not est.cauchy_ok:
+        print("semigroup: non-Cauchy value sequence", file=sys.stderr)
+        return EXIT_NUMERIC
+    print(f"semigroup: {len(est.schedule)} products -> {csv_path}")
     return EXIT_OK
 
 
 def _cmd_feasibility(out: Path, doc: dict, sp, dim: int, specs, x0) -> int:
     stop = _stop_rule(doc.get("stop", {}))
     mode = doc.get("mode", "alternating")
-    seed = int(doc.get("seed", 0))
-    n_fejer = int(doc.get("n_fejer", 5))
-    csv_path = out / doc.get("csv", "feasibility.csv")
-    summary_path = out / doc.get("summary", "feasibility.json")
+    seed = json_value(doc, "seed", int, 0)
+    n_fejer = json_value(doc, "n_fejer", int, 5)
+    csv_path = json_value(doc, "csv", out.joinpath, "feasibility.csv")
+    summary_path = json_value(doc, "summary", out.joinpath, "feasibility.json")
     try:
         if mode == "alternating":
             traj = feasibility.alternating_projections(
                 specs, x0, stop, sp, n_fejer=n_fejer, seed=seed
             )
         elif mode == "averaged":
-            weights = doc.get("weights", [1.0 / len(specs)] * len(specs))
+            weights = json_value(doc, "weights", _floats, [1.0 / len(specs)] * len(specs))
             traj = feasibility.averaged_projections(
                 specs, weights, x0, stop, sp, n_fejer=n_fejer, seed=seed
             )
@@ -291,16 +267,11 @@ def _cmd_feasibility(out: Path, doc: dict, sp, dim: int, specs, x0) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
     except feasibility.FeasibilityError as exc:
-        if exc.trajectory is not None:
-            _write_trajectory(csv_path, exc.trajectory)
+        _write_run(csv_path, summary_path, exc.trajectory, error=str(exc))
         print(f"feasibility failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    _write_trajectory(csv_path, traj)
-    summary = _summary_of(traj, sp)
-    summary["membership_residuals"] = [
-        float(feasibility.membership_residual(s.image, traj.limit, sp.p)) for s in specs
-    ]
-    _write_json(summary_path, summary)
+    residuals = [float(feasibility.membership_residual(s.image, traj.limit, sp.p)) for s in specs]
+    _write_run(csv_path, summary_path, traj, membership_residuals=residuals)
     print(f"feasibility: {mode} scheme, {len(traj.step_norms)} steps -> {csv_path}")
     return EXIT_OK
 

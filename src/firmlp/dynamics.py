@@ -15,10 +15,11 @@ they obey the telescoping bound
 for each tracked fixed point y, which is what the quasi-firm inequality
 gives after summing consecutive steps.
 
-Resolvents are computed by iterating the contraction
-y -> x/(1+lam) + (lam/(1+lam)) F y; n-fold products of resolvents at
-parameter t/n approximate the semigroup generated by F, with firm constant
-n^(r-1)/(n^(r-1)+1).
+Resolvents are ``operators.Resolvent`` nodes, which iterate the contraction
+y -> x/(1+lam) + (lam/(1+lam)) F y under the stop rule documented there;
+n-fold products of resolvents at parameter t/n approximate the semigroup
+generated by F, with firm constant n^(r-1)/(n^(r-1)+1), and are the
+identity at t = 0.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import OperatorExpr, Resolvent, Scale, compose, resolvent_operator
+from .operators import OperatorExpr, Scale, compose, resolvent_operator
 from .projections import project
 from .space import SpaceParams, lp_norm, norm_pow
 
@@ -233,50 +234,40 @@ def asymptotic_regularity_report(
     from the trajectory's monitor channel.
     """
     alpha = getattr(T_meta, "alpha_firm", None)
-    final_ok = bool(traj.final_residual < traj.stop.step_tol)
-    if alpha is None:
-        return AsymptoticRegularityReport(
-            step_norms=traj.step_norms,
-            final_residual=traj.final_residual,
-            final_below_tol=final_ok,
-            bound_checked=False,
-            bound_ok=None,
-            note="no firm constant in metadata; telescoping bound skipped",
-        )
-    if traj.fejer_points is None or len(traj.fejer_points) == 0:
-        return AsymptoticRegularityReport(
-            step_norms=traj.step_norms,
-            final_residual=traj.final_residual,
-            final_below_tol=final_ok,
-            bound_checked=False,
-            bound_ok=None,
-            note="no tracked fixed points; telescoping bound skipped",
-        )
-    const = 2.0 * alpha / (sp.c_r * (1.0 - alpha))
-    lhs = float(np.sum(traj.step_norms**sp.r))
     per_point = []
-    ok = True
-    for y in traj.fejer_points:
-        d0 = float(norm_pow(traj.iterates[0] - y, sp))
-        dN = float(norm_pow(traj.iterates[-1] - y, sp))
-        rhs = const * (d0 - dN)
-        margin = rhs - lhs + slack * max(d0, 1.0)
-        per_point.append((lhs, rhs, margin))
-        ok = ok and margin >= 0.0
+    ok = None
+    note = ""
+    if alpha is None:
+        note = "no firm constant in metadata; telescoping bound skipped"
+    elif traj.fejer_points is None or len(traj.fejer_points) == 0:
+        note = "no tracked fixed points; telescoping bound skipped"
+    else:
+        const = 2.0 * alpha / (sp.c_r * (1.0 - alpha))
+        lhs = float(np.sum(traj.step_norms**sp.r))
+        ok = True
+        for y in traj.fejer_points:
+            d0 = float(norm_pow(traj.iterates[0] - y, sp))
+            dN = float(norm_pow(traj.iterates[-1] - y, sp))
+            rhs = const * (d0 - dN)
+            margin = rhs - lhs + slack * max(d0, 1.0)
+            per_point.append((lhs, rhs, margin))
+            ok = ok and margin >= 0.0
     return AsymptoticRegularityReport(
         step_norms=traj.step_norms,
         final_residual=traj.final_residual,
-        final_below_tol=final_ok,
-        bound_checked=True,
+        final_below_tol=bool(traj.final_residual < traj.stop.step_tol),
+        bound_checked=ok is not None,
         bound_ok=ok,
         per_point=per_point,
+        note=note,
     )
 
 
 def resolvent_apply(F: OperatorExpr, lam: float, x, sp: SpaceParams, tol: float = 1e-12):
     """Evaluate the resolvent of F at parameter lam >= 0 (lam = 0 is the
-    identity); the result y satisfies ||y - (x/(1+lam) + lam/(1+lam) Fy)|| <= tol."""
-    return Resolvent(F, lam, p=sp.p, tol=tol)._apply(np.asarray(x, dtype=float))
+    identity) through the ``Resolvent`` node: the dimension of x is checked,
+    an uncertified F warns, and the stop rule is the node's."""
+    return resolvent_operator(F, lam, sp, tol=tol)(x)
 
 
 def semigroup_product(F: OperatorExpr, t: float, n: int, sp: SpaceParams) -> OperatorExpr:
@@ -321,15 +312,12 @@ def semigroup_limit_estimate(
     additivity, nonexpansiveness) are reported as well.
     """
     schedule = tuple(int(n) for n in n_schedule)
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("n_schedule must be strictly increasing")
+    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("n_schedule must be nonempty and strictly increasing")
     x = np.asarray(x, dtype=float)
     values = np.asarray([semigroup_product(F, t, n, sp)(x) for n in schedule])
-    diffs = lp_norm(np.diff(values, axis=0), sp.p) if len(schedule) > 1 else np.zeros(0)
-    if diffs.size == 0:
-        cauchy_ok = True
-    else:
-        cauchy_ok = bool(diffs[-1] <= tol or np.all(diffs[1:] <= 0.95 * diffs[:-1]))
+    diffs = lp_norm(np.diff(values, axis=0), sp.p)
+    cauchy_ok = bool(diffs.size == 0 or diffs[-1] <= tol or np.all(diffs[1:] <= 0.95 * diffs[:-1]))
     est = SemigroupEstimate(
         schedule=schedule,
         values=values,

@@ -47,7 +47,9 @@ __all__ = [
     "load_instance_json",
 ]
 
-MEMBERSHIP_TOL = 1e-8
+MEMBERSHIP_TOL = 1e-8  # limits farther than this from an image subspace fail
+FIX_TOL = 1e-10  # relative displacement allowed at sampled intersection points
+ISOMETRY_SAMPLES = 64  # points projection_from_isometry checks U on
 
 
 class IsometryCheckError(ValueError):
@@ -59,7 +61,7 @@ class EmptyIntersectionError(ValueError):
 
 
 class FeasibilityError(RuntimeError):
-    def __init__(self, message: str, trajectory: Trajectory | None = None):
+    def __init__(self, message: str, trajectory: Trajectory):
         super().__init__(message)
         self.trajectory = trajectory
 
@@ -79,38 +81,32 @@ def projection_from_isometry(
     U: OperatorExpr,
     p: float,
     dim: int,
-    n_checks: int = 64,
     seed: int = 0,
 ) -> ContractiveProjectionSpec:
     """Build the contractive projection of an isometric involution.
 
-    U is sample-checked: U^2 = Id and norm preservation to 1e-12 relative,
-    idempotence of P to 1e-10 relative.  Failures raise with a witness.
+    U is checked on ``ISOMETRY_SAMPLES`` points: U^2 = Id and norm
+    preservation to 1e-12 relative, idempotence of P to 1e-10 relative.
+    Failures raise with a witness.
     """
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-10.0, 10.0, size=(n_checks, dim))
-    scale = np.maximum(lp_norm(x, p), 1.0)
+    x = rng.uniform(-10.0, 10.0, size=(ISOMETRY_SAMPLES, dim))
+    norm_x = lp_norm(x, p)
     ux = U(x)
-    invol = lp_norm(U(ux) - x, p) / scale
-    if np.any(invol > 1e-12):
-        i = int(np.argmax(invol))
-        raise IsometryCheckError(
-            f"U^2 != Id (relative error {invol[i]:.3e} at sample {x[i]})"
-        )
-    iso = np.abs(lp_norm(ux, p) - lp_norm(x, p)) / scale
-    if np.any(iso > 1e-12):
-        i = int(np.argmax(iso))
-        raise IsometryCheckError(
-            f"U does not preserve the lp norm (error {iso[i]:.3e} at sample {x[i]})"
-        )
     P = Averaged(U, 0.5)
     px = P(x)
-    idem = lp_norm(P(px) - px, p) / scale
-    if np.any(idem > 1e-10):
-        i = int(np.argmax(idem))
-        raise IsometryCheckError(
-            f"(Id+U)/2 is not idempotent (error {idem[i]:.3e} at sample {x[i]})"
-        )
+    checks = (
+        ("U^2 != Id", lambda: lp_norm(U(ux) - x, p), 1e-12),
+        ("U does not preserve the lp norm", lambda: np.abs(lp_norm(ux, p) - norm_x), 1e-12),
+        ("(Id+U)/2 is not idempotent", lambda: lp_norm(P(px) - px, p), 1e-10),
+    )
+    for failure, error, bound in checks:
+        rel = error() / np.maximum(norm_x, 1.0)
+        if np.any(rel > bound):
+            i = int(np.argmax(rel))
+            raise IsometryCheckError(
+                f"{failure} (relative error {rel[i]:.3e} at sample {x[i]})"
+            )
     complement = Averaged(Compose((Scale(-1.0), U)), 0.5)
     return ContractiveProjectionSpec(
         isometry=U,
@@ -152,7 +148,6 @@ def _run_scheme(
     specs,
     n_fejer: int,
     seed: int,
-    membership_tol: float,
 ) -> Trajectory:
     rng = np.random.default_rng(seed)
     dim = np.asarray(x0).shape[-1]
@@ -165,7 +160,7 @@ def _run_scheme(
         )
     for k, s in enumerate(specs):
         res = float(membership_residual(s.image, traj.limit, sp.p))
-        if res > membership_tol:
+        if res > MEMBERSHIP_TOL:
             raise FeasibilityError(
                 f"limit misses image subspace {k} by {res:.3e}", trajectory=traj
             )
@@ -179,7 +174,6 @@ def alternating_projections(
     sp: SpaceParams,
     n_fejer: int = 5,
     seed: int = 0,
-    membership_tol: float = MEMBERSHIP_TOL,
 ) -> Trajectory:
     """Iterate the cyclic product P_n ... P_1 from x0.
 
@@ -191,7 +185,7 @@ def alternating_projections(
         raise ValueError("need at least one projection spec")
     intersection = intersect_images(specs)
     T = compose([s.projection for s in reversed(specs)], sp)
-    return _run_scheme(T, intersection, x0, stop, sp, specs, n_fejer, seed, membership_tol)
+    return _run_scheme(T, intersection, x0, stop, sp, specs, n_fejer, seed)
 
 
 def averaged_projections(
@@ -202,7 +196,6 @@ def averaged_projections(
     sp: SpaceParams,
     n_fejer: int = 5,
     seed: int = 0,
-    membership_tol: float = MEMBERSHIP_TOL,
 ) -> Trajectory:
     """Iterate the weighted sum of the projections; weights strictly inside
     (0, 1) and summing to 1."""
@@ -214,7 +207,7 @@ def averaged_projections(
         raise ValueError("averaged-scheme weights must lie strictly in (0, 1)")
     intersection = intersect_images(specs)
     T = convex_combination([s.projection for s in specs], weights, sp)
-    return _run_scheme(T, intersection, x0, stop, sp, specs, n_fejer, seed, membership_tol)
+    return _run_scheme(T, intersection, x0, stop, sp, specs, n_fejer, seed)
 
 
 @dataclass
@@ -235,8 +228,6 @@ def fixed_set_equality_check(
     dim: int,
     n: int = 100,
     seed: int = 0,
-    fix_tol: float = 1e-10,
-    membership_tol: float = MEMBERSHIP_TOL,
 ) -> FixedSetEqualityReport:
     """Check both inclusions on samples.
 
@@ -265,7 +256,7 @@ def fixed_set_equality_check(
             worst_membership = max(
                 worst_membership, float(membership_residual(s.image, traj.limit, sp.p))
             )
-    ok = disp_c <= fix_tol and disp_a <= fix_tol and worst_membership <= membership_tol
+    ok = disp_c <= FIX_TOL and disp_a <= FIX_TOL and worst_membership <= MEMBERSHIP_TOL
     return FixedSetEqualityReport(
         n_intersection_samples=n,
         max_composed_displacement=disp_c,

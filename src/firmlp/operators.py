@@ -28,6 +28,7 @@ intersection is structurally nonempty.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -462,7 +463,11 @@ class Resolvent(OperatorExpr):
     """x -> unique fixed point of y -> x/(1+lam) + (lam/(1+lam)) F(y).
 
     The inner map is a contraction with factor lam/(1+lam) whenever F is
-    nonexpansive; lam = 0 is the identity by convention.
+    nonexpansive (building the node warns when F carries no certificate);
+    lam = 0 is the identity by convention.  Evaluation stops at a step of at
+    most ``tol``, or at a step that stops shrinking within the rounding
+    floor ``tol * max(1, ||y||)``.  A step that stops shrinking above that
+    floor, or an exhausted geometric step budget, raises ``ResolventDiverged``.
     """
 
     inner: OperatorExpr
@@ -476,6 +481,12 @@ class Resolvent(OperatorExpr):
             raise ValueError("resolvent parameter lam must be >= 0")
         self.dims = self.inner.dims
         proven = self.inner.meta.proven_nonexpansive
+        if not proven:
+            warnings.warn(
+                "resolvent of an operator without a nonexpansiveness certificate; "
+                "the contraction iteration may diverge",
+                stacklevel=3,
+            )
         self.meta = OperatorMeta(
             proven_nonexpansive=proven,
             alpha_firm=0.5 if proven else None,
@@ -489,26 +500,30 @@ class Resolvent(OperatorExpr):
         q = self.lam / (1.0 + self.lam)
         base = x / (1.0 + self.lam)
         y = np.array(x, copy=True)
-        first = None
-        budget = 64
-        for it in range(10_000_000):
+        prev = math.inf
+        for it in itertools.count():
             y_next = base + q * self.inner._apply(y)
             gap = np.abs(y_next - y)
             delta = float(np.max(np.sum(gap**self.p, axis=-1) ** (1.0 / self.p)))
             y = y_next
             if delta <= self.tol:
                 return y
-            if first is None and delta > 0.0:
-                # geometric decay gives the iteration budget up front
-                first = delta
-                budget = int(math.log(self.tol / first) / math.log(q)) + 20
-            growing = first is not None and (not math.isfinite(delta) or delta > 1e9 * first)
-            if growing or it > max(budget, 20):
-                raise ResolventDiverged(
-                    f"resolvent iteration did not contract (lam={self.lam}); "
-                    "is the inner operator nonexpansive?"
-                )
-        raise ResolventDiverged("resolvent iteration exceeded the hard budget")
+            if not delta < prev:
+                # rounding stalls a contraction's steps near ulp(||y||)
+                if math.isfinite(delta) and delta <= self.tol * max(
+                    1.0, float(np.max(lp_norm(y, self.p)))
+                ):
+                    return y
+                break
+            if it == 0:
+                budget = max(int(math.log(self.tol / delta) / math.log(q)) + 20, 20)
+            elif it > budget:
+                break
+            prev = delta
+        raise ResolventDiverged(
+            f"resolvent iteration did not contract (lam={self.lam}, step {delta:.3e} "
+            f"after {it + 1} iterations); is the inner operator nonexpansive?"
+        )
 
 
 def compose(ops, sp: SpaceParams) -> Compose:
@@ -677,13 +692,8 @@ def neural_network(affine_layers, sigma: OperatorExpr, sp: SpaceParams) -> Compo
 
 
 def resolvent_operator(F: OperatorExpr, lam: float, sp: SpaceParams, tol: float = 1e-12) -> Resolvent:
-    """Resolvent of F with firm constant 1/2 and the fixed set of F."""
-    if not F.meta.proven_nonexpansive:
-        warnings.warn(
-            "resolvent of an operator without a nonexpansiveness certificate; "
-            "the contraction iteration may diverge",
-            stacklevel=2,
-        )
+    """Resolvent of F with firm constant 1/2 and the fixed set of F; warns
+    when F carries no nonexpansiveness certificate."""
     return Resolvent(F, lam, p=sp.p, tol=tol)
 
 
@@ -716,35 +726,64 @@ def operator_to_json(T: OperatorExpr) -> dict:
     raise TypeError(f"cannot serialize operator kind {type(T).__name__}")
 
 
+_REQUIRED = object()
+
+
+def json_value(doc: dict, key: str, convert, default=_REQUIRED):
+    """``convert(doc[key])``, or ``convert(default)`` when the key is absent.
+
+    A missing required key, or a value that ``convert`` rejects, raises
+    ValueError naming the key.
+    """
+    if key not in doc and default is _REQUIRED:
+        raise ValueError(f"missing key {key!r}")
+    try:
+        return convert(doc.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad value for key {key!r}: {exc}") from exc
+
+
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
 def operator_from_json(doc: dict, sp: SpaceParams, dim: int) -> OperatorExpr:
     """Build an operator from its JSON description.  Metadata is derived by
     the node constructors (constants are propagated, never parsed); the kind
-    ``contractive_projection`` is read as ``averaged`` with alpha 1/2."""
+    ``contractive_projection`` is read as ``averaged`` with alpha 1/2.  A
+    missing or malformed field raises ValueError naming its key."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("operator document must be an object with a 'kind' tag")
     kind = doc["kind"]
+
+    def sub(key):
+        return operator_from_json(json_value(doc, key, lambda d: d), sp, dim)
+
+    def subs(key):
+        return [operator_from_json(o, sp, dim) for o in json_value(doc, key, list)]
+
     if kind == "affine":
+        W = json_value(doc, "W", _array)
+        b = json_value(doc, "b", lambda b: None if b is None else _array(b), None)
         if doc.get("guarantee_nonexpansive", False):
-            return guaranteed_nonexpansive_affine(doc["W"], doc.get("b"), sp.p)
-        return Affine(np.asarray(doc["W"], dtype=float), doc.get("b"), p=sp.p)
+            return guaranteed_nonexpansive_affine(W, b, sp.p)
+        return Affine(W, b, p=sp.p)
     if kind == "scale":
-        return Scale(doc["factor"])
+        return Scale(json_value(doc, "factor", float))
     if kind == "truncate":
-        return truncation_operator(doc["k"], sp, dim)
+        return truncation_operator(json_value(doc, "k", int), sp, dim)
     if kind == "swap":
-        return SwapIsometry(doc["i"], doc["j"])
+        return SwapIsometry(json_value(doc, "i", int), json_value(doc, "j", int))
     if kind == "activation":
-        return stable_activation(doc["name"])
+        return stable_activation(json_value(doc, "name", str))
     if kind == "averaged":
-        return averaged(operator_from_json(doc["inner"], sp, dim), doc["alpha"])
+        return averaged(sub("inner"), json_value(doc, "alpha", float))
     if kind == "contractive_projection":
-        return contractive_projection(operator_from_json(doc["isometry"], sp, dim))
+        return contractive_projection(sub("isometry"))
     if kind == "compose":
-        return compose([operator_from_json(o, sp, dim) for o in doc["ops"]], sp)
+        return compose(subs("ops"), sp)
     if kind == "convex_combo":
-        return convex_combination(
-            [operator_from_json(o, sp, dim) for o in doc["ops"]], doc["weights"], sp
-        )
+        return convex_combination(subs("ops"), json_value(doc, "weights", _array), sp)
     if kind == "resolvent":
-        return resolvent_operator(operator_from_json(doc["inner"], sp, dim), doc["lam"], sp)
+        return resolvent_operator(sub("inner"), json_value(doc, "lam", float), sp)
     raise ValueError(f"unknown operator kind {kind!r}")

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +88,13 @@ class TestCertifyCommand:
         cfg = write_config(tmp_path, "b.json", doc)
         assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 0
 
+    def test_null_samples_exit1_names_key(self, tmp_path, capsys):
+        doc = certify_config()
+        doc["samples"] = None
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "'samples'" in capsys.readouterr().err
+
 
 class TestIterateCommand:
     def test_projection_instance(self, tmp_path):
@@ -152,6 +161,12 @@ class TestIterateCommand:
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert len(lines) == 2  # header plus x0; the overflowed step is not kept
 
+    def test_affine_without_matrix_exit1_names_key(self, tmp_path, capsys):
+        doc = {"p": 2.0, "dim": 2, "operator": {"kind": "affine"}, "x0": [1.0, 0.0]}
+        cfg = write_config(tmp_path, "i.json", doc)
+        assert main(["iterate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "'W'" in capsys.readouterr().err
+
 
 class TestResolventCommand:
     def test_closed_form_values(self, tmp_path):
@@ -168,6 +183,31 @@ class TestResolventCommand:
         for row in out["results"]:
             expect = 3.0 / (1.0 + 2.0 * row["lam"])
             assert abs(row["value"][0] - expect) < 1e-10
+
+    def test_operator_wider_than_dim_exit1(self, tmp_path):
+        doc = {
+            "p": 2.0,
+            "dim": 2,
+            "operator": {"kind": "swap", "i": 0, "j": 5},
+            "lambdas": [1.0],
+            "x": [1.0, 0.0],
+        }
+        cfg = write_config(tmp_path, "r.json", doc)
+        assert main(["resolvent", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+    def test_large_vector_stops_at_rounding_floor(self, tmp_path):
+        # the step stalls near ulp(1e6/3) > tol; the value is still x/3
+        doc = {
+            "p": 3.0,
+            "dim": 2,
+            "operator": {"kind": "scale", "factor": -1.0},
+            "lambdas": [1.0],
+            "x": [1e6, 0.0],
+        }
+        cfg = write_config(tmp_path, "r.json", doc)
+        assert main(["resolvent", "--config", cfg, "--out", str(tmp_path)]) == 0
+        out = json.loads((tmp_path / "resolvent.json").read_text())
+        assert out["results"][0]["value"] == pytest.approx([1e6 / 3.0, 0.0], rel=1e-12, abs=1e-12)
 
 
 class TestSemigroupCommand:
@@ -202,6 +242,22 @@ class TestSemigroupCommand:
         assert main(["semigroup", "--config", cfg, "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "semigroup.csv").read_text().splitlines()
         assert float(lines[1].split(",")[2]) == pytest.approx(1.0 / 3.0, abs=1e-10)
+
+    def test_t_zero_lists_every_schedule_entry(self, tmp_path):
+        cfg = self.config(tmp_path, schedule=(4, 8, 16), t=0.0)
+        assert main(["semigroup", "--config", cfg, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "semigroup.csv").read_text().splitlines()[1:]
+        rows = [line.split(",") for line in lines]
+        assert [row[0] for row in rows] == ["4", "8", "16"]
+        assert all(float(row[2]) == 1.0 for row in rows)
+        summary = json.loads((tmp_path / "semigroup.json").read_text())
+        assert summary["schedule"] == [4, 8, 16]
+        assert summary["cauchy_ok"] is True
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_empty_schedule_exit1(self, tmp_path, t):
+        cfg = self.config(tmp_path, schedule=(), t=t)
+        assert main(["semigroup", "--config", cfg, "--out", str(tmp_path)]) == 1
 
 
 class TestFeasibilityCommand:
@@ -241,6 +297,29 @@ class TestFeasibilityCommand:
         doc["isometries"][0] = {"kind": "scale", "factor": 0.5}
         cfg = write_config(tmp_path, "f.json", doc)
         assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_nonconvergence_writes_summary_exit3(self, tmp_path):
+        cfg = write_config(tmp_path, "f.json", feasibility_config(stop={"max_iter": 3}))
+        assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert (tmp_path / "feasibility.csv").exists()
+        summary = json.loads((tmp_path / "feasibility.json").read_text())
+        assert "error" in summary
+        assert summary["iterations"] == 3
+
+
+class TestPackagedConfigs:
+    def test_every_config_runs(self, tmp_path):
+        scripts = Path(__file__).resolve().parents[1] / "scripts"
+        spec = importlib.util.spec_from_file_location(
+            "run_experiments", scripts / "run_experiments.py"
+        )
+        runner = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(runner)
+        configs = sorted(f.name for f in (scripts / "configs").glob("*.json"))
+        assert configs == sorted(runner.COMMANDS)
+        for name in configs:
+            argv = [runner.COMMANDS[name], "--config", str(scripts / "configs" / name)]
+            assert main(argv + ["--out", str(tmp_path)]) == 0, name
 
 
 class TestDeterminism:

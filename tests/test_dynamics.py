@@ -17,6 +17,7 @@ from firmlp.dynamics import (
 )
 from firmlp.operators import (
     ContractiveProjection,
+    DimensionMismatch,
     Resolvent,
     ResolventDiverged,
     Scale,
@@ -186,6 +187,16 @@ class TestResolvent:
         with pytest.raises(ResolventDiverged):
             R(np.array([1.0, 1.0]))
 
+    def test_short_vector_raises_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            resolvent_apply(SwapIsometry(0, 5), 1.0, np.zeros(2), SP2)
+
+    def test_apply_warns_without_certificate(self):
+        x = np.array([1.0, -2.0])
+        with pytest.warns(UserWarning, match="certificate"):
+            out = resolvent_apply(Scale(1.5), 0.1, x, SP2)
+        assert np.allclose(out, x / 0.95, atol=1e-10)  # y = (x + 0.15 y)/1.1
+
     def test_iteration_cost_scales_with_contraction_factor(self):
         # residual after k steps decays like (lam/(1+lam))^k
         F = Scale(-1.0)
@@ -237,3 +248,8 @@ class TestSemigroup:
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             semigroup_limit_estimate(Scale(-1.0), 1.0, np.ones(2), [8, 8], SP2)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_empty_schedule_rejected(self, t):
+        with pytest.raises(ValueError, match="schedule"):
+            semigroup_limit_estimate(Scale(-1.0), t, np.ones(2), [], SP2)
