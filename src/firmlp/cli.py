@@ -167,7 +167,7 @@ def _cmd_certify(out: Path, doc: dict, sp, dim: int, T, _) -> int:
             T, json_value(doc, "alpha", float), sp, fix_sampler, sampler, n=n, tol=tol
         )
     elif prop == "bruck":
-        grid = doc.get("w_grid")
+        grid = json_value(doc, "w_grid", lambda v: None if v is None else _floats(v), None)
         report = cert.certify_bruck_firm(T, sp, sampler, w_grid=grid, n=n, tol=tol)
     else:
         raise ConfigError(f"unknown property {prop!r}")

@@ -15,11 +15,18 @@ they obey the telescoping bound
 for each tracked fixed point y, which is what the quasi-firm inequality
 gives after summing consecutive steps.
 
-Resolvents are ``operators.Resolvent`` nodes, which iterate the contraction
-y -> x/(1+lam) + (lam/(1+lam)) F y under the stop rule documented there;
+Resolvents are ``operators.Resolvent`` nodes.  For lam > 0 and a
+proven-nonexpansive affine F y = W y + b they take the closed form
+y = A^(-1) (x + lam b), A = I + lam (I - W), with A inverted once per node
+and dimension; its forward error is about cond(A) eps relative to ||x||
+(at most 2.4e-11 at lam = 1e6 on the averaged two-swap chain, where the
+iteration's own bound is tol lam = 1e-6).  Every other F iterates the
+contraction y -> x/(1+lam) + (lam/(1+lam)) F y under the stop rule
+documented there.
 n-fold products of resolvents at parameter t/n approximate the semigroup
 generated by F, with firm constant n^(r-1)/(n^(r-1)+1), and are the
-identity at t = 0.
+identity at t = 0.  ``semigroup_product`` composes one step node n times,
+so for an affine F the product costs one inversion and n matrix products.
 """
 
 from __future__ import annotations

@@ -24,6 +24,12 @@ Fixed-point sets propagate through averaging (Fix((1-a)Id + aR) = Fix R)
 and intersect through compositions and convex combinations of operators
 that all carry firm constants (the quasi-firm calculus), provided the
 intersection is structurally nonempty.
+
+Nodes that are affine on their input (the affine, scale, truncation, swap
+and identity atoms; averages, compositions and convex combinations of
+affine nodes; closed-form resolvents) give their matrix and offset through
+``affine_form``, which ``Resolvent`` uses to replace its iteration by one
+cached linear solve.
 """
 
 from __future__ import annotations
@@ -31,11 +37,11 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .projections import AffineEqual, Box
+from .projections import AffineEqual, Box, _array, json_value
 from .space import SpaceParams, lp_norm
 
 __all__ = [
@@ -117,6 +123,11 @@ class OperatorExpr:
     def _apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def affine_form(self, d: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """(W, b) with self(x) = W x + b on dimension d, or None when the
+        node is not known to be affine."""
+        return None
+
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
@@ -169,6 +180,9 @@ class Affine(OperatorExpr):
     def _apply(self, x):
         return x @ self.W.T + self.b
 
+    def affine_form(self, d):
+        return self.W, self.b
+
 
 def interpolation_norm_bound(W: np.ndarray, p: float) -> float:
     """Upper bound on the induced lp operator norm of W via interpolation
@@ -196,6 +210,9 @@ class Scale(OperatorExpr):
 
     def _apply(self, x):
         return self.factor * x
+
+    def affine_form(self, d):
+        return self.factor * np.eye(d), np.zeros(d)
 
 
 def identity() -> Scale:
@@ -235,6 +252,9 @@ class Truncate(OperatorExpr):
         out[..., self.keep :] = 0.0
         return out
 
+    def affine_form(self, d):
+        return np.diag((np.arange(d) < self.keep).astype(float)), np.zeros(d)
+
 
 @dataclass(eq=False)
 class SwapIsometry(OperatorExpr):
@@ -257,6 +277,9 @@ class SwapIsometry(OperatorExpr):
         out = np.array(x, copy=True)
         out[..., [self.i, self.j]] = x[..., [self.j, self.i]]
         return out
+
+    def affine_form(self, d):
+        return self._apply(np.eye(d)), np.zeros(d)
 
 
 _ACTIVATIONS = {
@@ -297,6 +320,9 @@ class Activation(OperatorExpr):
     def _apply(self, x):
         return _ACTIVATIONS[self.name](x)
 
+    def affine_form(self, d):
+        return (np.eye(d), np.zeros(d)) if self.name == "identity" else None
+
 
 def stable_activation(name: str) -> Activation:
     """Activation atom by name ('relu', 'tanh' or 'identity')."""
@@ -326,6 +352,13 @@ class Averaged(OperatorExpr):
 
     def _apply(self, x):
         return (1.0 - self.alpha) * x + self.alpha * self.inner._apply(x)
+
+    def affine_form(self, d):
+        form = self.inner.affine_form(d)
+        if form is None:
+            return None
+        W, b = form
+        return (1.0 - self.alpha) * np.eye(d) + self.alpha * W, self.alpha * b
 
 
 def averaged(R: OperatorExpr, alpha: float) -> Averaged:
@@ -419,6 +452,15 @@ class Compose(OperatorExpr):
             x = op._apply(x)
         return x
 
+    def affine_form(self, d):
+        W, b = np.eye(d), np.zeros(d)
+        for op in reversed(self.ops):
+            form = op.affine_form(d)
+            if form is None:
+                return None
+            W, b = form[0] @ W, form[0] @ b + form[1]
+        return W, b
+
 
 @dataclass(eq=False)
 class ConvexCombo(OperatorExpr):
@@ -457,23 +499,47 @@ class ConvexCombo(OperatorExpr):
             out = out + w * op._apply(x)
         return out
 
+    def affine_form(self, d):
+        forms = [op.affine_form(d) for op in self.ops]
+        if any(form is None for form in forms):
+            return None
+        return (
+            sum(w * W for w, (W, _) in zip(self.weights, forms)),
+            sum(w * b for w, (_, b) in zip(self.weights, forms)),
+        )
+
 
 @dataclass(eq=False)
 class Resolvent(OperatorExpr):
-    """x -> unique fixed point of y -> x/(1+lam) + (lam/(1+lam)) F(y).
+    """x -> (Id + lam (Id - F))^(-1) x, the unique fixed point of
+    y -> x/(1+lam) + (lam/(1+lam)) F(y); lam = 0 is the identity.
 
-    The inner map is a contraction with factor lam/(1+lam) whenever F is
-    nonexpansive (building the node warns when F carries no certificate);
-    lam = 0 is the identity by convention.  Evaluation stops at a step of at
-    most ``tol``, or at a step that stops shrinking within the rounding
-    floor ``tol * max(1, ||y||)``.  A step that stops shrinking above that
-    floor, or an exhausted geometric step budget, raises ``ResolventDiverged``.
+    Closed form: when lam > 0 and F is a proven-nonexpansive affine map
+    F y = W y + b (its ``affine_form``), the value is y = A^(-1) (x + lam b)
+    with A = I + lam (I - W).  A is inverted once per dimension and cached on
+    the node, so every later evaluation is one matrix product, whatever lam
+    and the scale of x.  Its forward error is about cond(A) eps relative to
+    ||x||, and cond(A) grows like lam (on the averaged two-swap chain at
+    lam = 1e6, cond(A) = 1.2e6 and the error against an exact rational
+    solve is at most 2.4e-11).  An A that is singular in float64 (the
+    averaged two-swap chain at lam = 1e17) or a non-finite value raises
+    ``ResolventDiverged``.
+
+    Iteration: every other inner map (nonlinear, or without a certificate;
+    building the node warns for the latter) runs the contraction above, with
+    factor q = lam/(1+lam) when F is nonexpansive.  Evaluation stops at a
+    step of at most ``tol``, or at a step that stops shrinking within the
+    rounding floor ``tol * max(1, ||y||)``, so the error is about tol lam.
+    A step that stops shrinking above that floor, an exhausted geometric
+    step budget, or a lam so large that q rounds to 1 raises
+    ``ResolventDiverged``.
     """
 
     inner: OperatorExpr
     lam: float
     p: float = 2.0
     tol: float = 1e-12
+    _forms: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.lam = float(self.lam)
@@ -494,10 +560,42 @@ class Resolvent(OperatorExpr):
             fixed_points=self.inner.meta.fixed_points if proven else None,
         )
 
+    def affine_form(self, d):
+        """(A^(-1), lam A^(-1) b) when the closed form applies, else None;
+        computed once per dimension d."""
+        if d not in self._forms:
+            form = None
+            if self.lam > 0.0 and self.inner.meta.proven_nonexpansive:
+                form = self.inner.affine_form(d)
+            if form is not None:
+                W, b = form
+                eye = np.eye(d)
+                # I - W first: it cancels exactly on vectors W fixes exactly,
+                # so A keeps them fixed; (1+lam) I - lam W would round them
+                try:
+                    M = np.linalg.inv(eye + self.lam * (eye - W))
+                except np.linalg.LinAlgError as exc:
+                    raise ResolventDiverged(
+                        f"resolvent matrix I + lam (I - W) is singular in float64 (lam={self.lam})"
+                    ) from exc
+                form = M, self.lam * (M @ b)
+            self._forms[d] = form
+        return self._forms[d]
+
     def _apply(self, x):
         if self.lam == 0.0:
             return np.array(x, copy=True)
+        form = self.affine_form(x.shape[-1])
+        if form is not None:
+            y = x @ form[0].T + form[1]
+            if not np.isfinite(y).all():
+                raise ResolventDiverged(f"resolvent closed form is not finite (lam={self.lam})")
+            return y
         q = self.lam / (1.0 + self.lam)
+        if q == 1.0:
+            raise ResolventDiverged(
+                f"lam/(1+lam) rounds to 1 (lam={self.lam}): the contraction iteration cannot converge"
+            )
         base = x / (1.0 + self.lam)
         y = np.array(x, copy=True)
         prev = math.inf
@@ -724,27 +822,6 @@ def operator_to_json(T: OperatorExpr) -> dict:
     if isinstance(T, Resolvent):
         return {"kind": "resolvent", "lam": T.lam, "inner": operator_to_json(T.inner)}
     raise TypeError(f"cannot serialize operator kind {type(T).__name__}")
-
-
-_REQUIRED = object()
-
-
-def json_value(doc: dict, key: str, convert, default=_REQUIRED):
-    """``convert(doc[key])``, or ``convert(default)`` when the key is absent.
-
-    A missing required key, or a value that ``convert`` rejects, raises
-    ValueError naming the key.
-    """
-    if key not in doc and default is _REQUIRED:
-        raise ValueError(f"missing key {key!r}")
-    try:
-        return convert(doc.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad value for key {key!r}: {exc}") from exc
-
-
-def _array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
 
 
 def operator_from_json(doc: dict, sp: SpaceParams, dim: int) -> OperatorExpr:

@@ -297,17 +297,40 @@ def set_to_json(C) -> dict:
     raise TypeError(f"unknown convex set kind: {type(C).__name__}")
 
 
+_REQUIRED = object()
+
+
+def json_value(doc: dict, key: str, convert, default=_REQUIRED):
+    """``convert(doc[key])``, or ``convert(default)`` when the key is absent.
+
+    A missing required key, or a value that ``convert`` rejects, raises
+    ValueError naming the key.
+    """
+    if key not in doc and default is _REQUIRED:
+        raise ValueError(f"missing key {key!r}")
+    try:
+        return convert(doc.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad value for key {key!r}: {exc}") from exc
+
+
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
 def set_from_json(doc: dict):
-    kind = doc.get("kind")
+    """Build a convex set from its JSON description; a missing or malformed
+    field raises ValueError naming its key."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind == "box":
-        return Box(doc["lower"], doc["upper"])
+        return Box(json_value(doc, "lower", _array), json_value(doc, "upper", _array))
     if kind == "affine_equal":
         return AffineEqual(
-            groups=tuple(tuple(g) for g in doc.get("groups", ())),
-            fixed=tuple((i, v) for i, v in doc.get("fixed", ())),
+            groups=json_value(doc, "groups", lambda gs: tuple(tuple(g) for g in gs), ()),
+            fixed=json_value(doc, "fixed", lambda fs: tuple((i, v) for i, v in fs), ()),
         )
     if kind == "ball":
-        return Ball(doc["center"], doc["radius"])
+        return Ball(json_value(doc, "center", _array), json_value(doc, "radius", float))
     if kind == "halfspace":
-        return Halfspace(doc["normal"], doc["offset"])
+        return Halfspace(json_value(doc, "normal", _array), json_value(doc, "offset", float))
     raise ValueError(f"unknown convex set kind in document: {kind!r}")

@@ -26,6 +26,30 @@ def certify_config(alpha=0.2):
     }
 
 
+TWO_SWAPS = {
+    "kind": "compose",
+    "ops": [
+        {"kind": "averaged", "alpha": 0.5, "inner": {"kind": "swap", "i": 1, "j": 2}},
+        {"kind": "averaged", "alpha": 0.5, "inner": {"kind": "swap", "i": 0, "j": 1}},
+    ],
+}
+
+
+def semigroup_config(operator, schedule=(8, 16, 32)):
+    return {
+        "p": 3.0,
+        "dim": 4,
+        "operator": operator,
+        "t": 1.0,
+        "schedule": list(schedule),
+        "x": [1.0, 0.0, 0.0, 0.0],
+    }
+
+
+def resolvent_config(operator, lambdas, x):
+    return {"p": 3.0, "dim": len(x), "operator": operator, "lambdas": lambdas, "x": x}
+
+
 def feasibility_config(**extra):
     doc = {
         "p": 3.0,
@@ -94,6 +118,14 @@ class TestCertifyCommand:
         cfg = write_config(tmp_path, "c.json", doc)
         assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "'samples'" in capsys.readouterr().err
+
+
+    def test_bad_w_grid_exit1_names_key(self, tmp_path, capsys):
+        doc = certify_config()
+        doc.update(property="bruck", w_grid=["a"])
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "'w_grid'" in capsys.readouterr().err
 
 
 class TestIterateCommand:
@@ -210,6 +242,23 @@ class TestResolventCommand:
         assert out["results"][0]["value"] == pytest.approx([1e6 / 3.0, 0.0], rel=1e-12, abs=1e-12)
 
 
+    def test_huge_lam_closed_form_exit0(self, tmp_path):
+        doc = resolvent_config({"kind": "scale", "factor": -1.0}, [1e17], [3.0, 0.0])
+        cfg = write_config(tmp_path, "r.json", doc)
+        assert main(["resolvent", "--config", cfg, "--out", str(tmp_path)]) == 0
+        out = json.loads((tmp_path / "resolvent.json").read_text())
+        assert out["results"][0]["value"] == pytest.approx([3.0 / (1.0 + 2e17), 0.0], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("operator, x", [
+        ({"kind": "activation", "name": "tanh"}, [3.0, 0.0]),
+        (TWO_SWAPS, [1.0, 0.0, 0.0, 0.0]),
+    ], ids=["tanh", "two_swaps"])
+    def test_huge_lam_exit3(self, tmp_path, capsys, operator, x):
+        cfg = write_config(tmp_path, "r.json", resolvent_config(operator, [1e17], x))
+        assert main(["resolvent", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+
+
 class TestSemigroupCommand:
     def config(self, tmp_path, schedule=(8, 16, 32, 64, 128, 256, 512, 1024), t=1.0):
         doc = {
@@ -307,6 +356,18 @@ class TestFeasibilityCommand:
         assert summary["iterations"] == 3
 
 
+    @pytest.mark.parametrize("image, message", [
+        ({"kind": "box"}, "'lower'"),
+        (5, "convex set kind"),
+    ])
+    def test_malformed_image_exit1(self, tmp_path, capsys, image, message):
+        doc = feasibility_config()
+        doc["isometries"][0]["image"] = image
+        cfg = write_config(tmp_path, "f.json", doc)
+        assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+
+
 class TestPackagedConfigs:
     def test_every_config_runs(self, tmp_path):
         scripts = Path(__file__).resolve().parents[1] / "scripts"
@@ -328,6 +389,9 @@ class TestDeterminism:
         [
             ("certify", lambda: certify_config()),
             ("feasibility", lambda: feasibility_config()),
+            ("resolvent", lambda: resolvent_config(TWO_SWAPS, [0.1, 1.0, 10.0], [1.0, 0.0, 0.0, 0.0])),
+            ("semigroup", lambda: semigroup_config(TWO_SWAPS)),
+            ("semigroup", lambda: semigroup_config({"kind": "activation", "name": "tanh"})),
         ],
     )
     def test_byte_identical_outputs(self, tmp_path, command, builder):

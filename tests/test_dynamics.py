@@ -16,20 +16,33 @@ from firmlp.dynamics import (
     trajectory_to_csv,
 )
 from firmlp.operators import (
+    Activation,
+    Affine,
+    Averaged,
+    Compose,
     ContractiveProjection,
+    ConvexCombo,
     DimensionMismatch,
+    OperatorExpr,
     Resolvent,
     ResolventDiverged,
     Scale,
     SwapIsometry,
+    Truncate,
     averaged,
     compose,
+    guaranteed_nonexpansive_affine,
     identity,
 )
 from firmlp.space import lp_norm, space_params
 
 SP2 = space_params(2.0)
 SP3 = space_params(3.0)
+
+
+def two_swap_chain(sp):
+    # the averaged two-swap generator of the semigroup configs
+    return compose([averaged(SwapIsometry(1, 2), 0.5), averaged(SwapIsometry(0, 1), 0.5)], sp)
 
 
 def swap_projection_pair():
@@ -197,12 +210,138 @@ class TestResolvent:
             out = resolvent_apply(Scale(1.5), 0.1, x, SP2)
         assert np.allclose(out, x / 0.95, atol=1e-10)  # y = (x + 0.15 y)/1.1
 
+    def test_huge_lam_affine_inner_closed_form(self):
+        # lam/(1+lam) rounds to 1.0 here; the closed form needs no contraction
+        x = np.array([3.0, 0.0])
+        out = resolvent_apply(Scale(-1.0), 1e17, x, SP3)
+        assert out == pytest.approx(x / (1.0 + 2e17), rel=1e-15, abs=0.0)
+
+    def test_huge_lam_nonlinear_inner_raises(self):
+        with pytest.raises(ResolventDiverged, match="rounds to 1"):
+            resolvent_apply(Activation("tanh"), 1e17, np.array([3.0, 0.0]), SP3)
+
+    def test_huge_lam_singular_closed_form_raises(self):
+        # I + lam (I - W) loses its I to rounding: singular in float64
+        with pytest.raises(ResolventDiverged, match="singular"):
+            resolvent_apply(two_swap_chain(SP3), 1e17, np.array([1.0, 0.0, 0.0, 0.0]), SP3)
+
+    def test_tiny_input_keeps_relative_accuracy(self):
+        out = resolvent_apply(Scale(-1.0), 1.0, (1e-20, 0.0), SP3)
+        assert out[0] == pytest.approx(1e-20 / 3.0, rel=1e-15, abs=0.0)
+        assert out[1] == 0.0
+
     def test_iteration_cost_scales_with_contraction_factor(self):
         # residual after k steps decays like (lam/(1+lam))^k
         F = Scale(-1.0)
         x = np.array([1.0, 2.0, 3.0])
         out = resolvent_apply(F, 10.0, x, SP3, tol=1e-12)
         assert np.allclose(out, x / 21.0, atol=1e-10)
+
+
+AFFINE_KINDS = (
+    Affine, Scale, SwapIsometry, Truncate, Activation, Averaged, Compose, ConvexCombo, Resolvent
+)
+
+
+def _affine_map(sp, d):
+    rng = np.random.default_rng(5)
+    return guaranteed_nonexpansive_affine(rng.normal(size=(d, d)), rng.normal(size=d), sp.p)
+
+
+# one builder per affine node kind: (space, dimension) -> operator
+AFFINE_CASES = {
+    "affine": _affine_map,
+    "scale": lambda sp, d: Scale(-0.5),
+    "swap": lambda sp, d: SwapIsometry(0, 2),
+    "truncate": lambda sp, d: Truncate(2, sp, d),
+    "identity": lambda sp, d: Activation("identity"),
+    "averaged": lambda sp, d: Averaged(SwapIsometry(1, 3), 0.3),
+    "compose": lambda sp, d: two_swap_chain(sp),
+    "convex_combo": lambda sp, d: ConvexCombo(
+        (Scale(-1.0), SwapIsometry(0, 1), _affine_map(sp, d)), (0.2, 0.3, 0.5)
+    ),
+    "resolvent_in_compose": lambda sp, d: Compose(
+        (Resolvent(_affine_map(sp, d), 0.7, p=sp.p), Averaged(SwapIsometry(0, 1), 0.5)), sp
+    ),
+}
+
+
+@pytest.fixture
+def inv_calls(monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+
+    def counting_inv(a):
+        calls.append(np.shape(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    return calls
+
+
+class TestResolventClosedForm:
+    D = 4
+
+    @pytest.mark.parametrize("name", sorted(AFFINE_CASES))
+    def test_affine_form_reproduces_apply(self, name):
+        T = AFFINE_CASES[name](SP3, self.D)
+        W, b = T.affine_form(self.D)
+        x = np.random.default_rng(1).normal(size=(6, self.D))
+        assert np.allclose(x @ W.T + b, T(x), rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(AFFINE_CASES))
+    def test_matches_iteration(self, monkeypatch, name, p, batched):
+        sp = space_params(p)
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(5, self.D) if batched else self.D)
+        with monkeypatch.context() as m:
+            # the reference: the same tree with every affine form hidden
+            for kind in AFFINE_KINDS:
+                m.setattr(kind, "affine_form", OperatorExpr.affine_form)
+            reference = [Resolvent(AFFINE_CASES[name](sp, self.D), lam, p=p)(x) for lam in (0.3, 4.0)]
+        for lam, ref in zip((0.3, 4.0), reference):
+            R = Resolvent(AFFINE_CASES[name](sp, self.D), lam, p=p)
+            assert R.affine_form(self.D) is not None
+            out = R(x)
+            assert np.all(lp_norm(out - ref, p) <= 1e-10 * lp_norm(ref, p))
+
+    @pytest.mark.parametrize("name", ["tanh", "relu"])
+    def test_nonlinear_inner_iterates(self, inv_calls, name):
+        F = Activation(name)
+        assert F.affine_form(self.D) is None
+        assert compose([F, SwapIsometry(0, 1)], SP3).affine_form(self.D) is None
+        x = np.array([2.0, -1.0, 0.5, 3.0])
+        y = Resolvent(F, 2.0, p=3.0)(x)
+        assert not inv_calls
+        # y is the resolvent value: y + lam (y - F y) = x
+        assert np.allclose(y + 2.0 * (y - F(y)), x, atol=1e-10)
+
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("block, F", [
+        ((0, 1), Averaged(SwapIsometry(0, 1), 0.5)),
+        ((0, 1, 2), two_swap_chain(SP3)),
+    ])
+    def test_averaged_swaps_keep_block_sum(self, lam, block, F):
+        x = np.array([3.0, 1.0, -2.0, 5.0])
+        y = Resolvent(F, lam, p=3.0)(x)
+        total = x[list(block)].sum()
+        assert abs(y[list(block)].sum() - total) <= 1e-12 * abs(total)
+
+    def test_factors_once_per_dimension(self, inv_calls):
+        R = Resolvent(Scale(-0.5), 2.0, p=3.0)
+        for _ in range(5):
+            R(np.ones(3))
+        R(np.ones((7, 3)))
+        for _ in range(3):
+            R(np.ones(5))
+        assert inv_calls == [(3, 3), (5, 5)]
+
+    def test_semigroup_product_factors_once(self, inv_calls):
+        T = semigroup_product(two_swap_chain(SP3), 1.0, 64, SP3)
+        T(np.array([1.0, 0.0, 0.0, 0.0]))
+        assert inv_calls == [(4, 4)]
 
 
 class TestSemigroup:
