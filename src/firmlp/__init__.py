@@ -16,7 +16,6 @@ Modules:
 from .space import (
     SpaceParams,
     space_params,
-    as_vector,
     lp_norm,
     norm_pow,
     convexity_residual,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -113,10 +114,22 @@ def _stop_rule(doc: dict) -> dynamics.StopRule:
     )
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float replaced by None: RFC 8259 JSON
+    has no Infinity or NaN (an overflowed run's step norm is one)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _write_json(path: Path, doc: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        json.dump(_finite_or_null(doc), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 

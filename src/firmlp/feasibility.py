@@ -20,17 +20,21 @@ import numpy as np
 
 from .dynamics import MonitorConfig, StopRule, Trajectory, picard_iterate
 from .operators import (
-    EMPTY_INTERSECTION,
     Averaged,
     Compose,
     OperatorExpr,
     Scale,
     compose,
     convex_combination,
-    merge_fixed_point_sets,
     operator_from_json,
 )
-from .projections import membership_residual, sample_points, set_from_json
+from .projections import (
+    EMPTY_INTERSECTION,
+    membership_residual,
+    merge_fixed_point_sets,
+    sample_points,
+    set_from_json,
+)
 from .space import SpaceParams, lp_norm
 
 __all__ = [

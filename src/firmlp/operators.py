@@ -23,7 +23,8 @@ when the node is given the space.
 Fixed-point sets propagate through averaging (Fix((1-a)Id + aR) = Fix R)
 and intersect through compositions and convex combinations of operators
 that all carry firm constants (the quasi-firm calculus), provided the
-intersection is structurally nonempty.
+intersection is structurally nonempty (``projections.merge_fixed_point_sets``
+states the rule).
 
 Nodes that are affine on their input (the affine, scale, truncation, swap
 and identity atoms; averages, compositions and convex combinations of
@@ -41,7 +42,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .projections import AffineEqual, Box, _array, json_value
+from .projections import (
+    EMPTY_INTERSECTION,
+    ORIGIN,
+    WHOLE_SPACE,
+    AffineEqual,
+    Box,
+    _array,
+    json_value,
+    merge_fixed_point_sets,
+)
 from .space import SpaceParams, lp_norm
 
 __all__ = [
@@ -105,9 +115,6 @@ class OperatorMeta:
 
 
 _UNKNOWN = OperatorMeta()
-
-WHOLE_SPACE = Box(-np.inf, np.inf)
-ORIGIN = Box(0.0, 0.0)
 
 
 class OperatorExpr:
@@ -632,123 +639,6 @@ def compose(ops, sp: SpaceParams) -> Compose:
 def convex_combination(ops, weights, sp: SpaceParams) -> ConvexCombo:
     """Weighted sum of ops; its constants do not depend on the space sp."""
     return ConvexCombo(tuple(ops), tuple(weights))
-
-
-def _box_contains_zero(B: Box) -> bool:
-    return bool(np.all(np.asarray(B.lower) <= 0.0) and np.all(np.asarray(B.upper) >= 0.0))
-
-
-def _is_whole_space(C) -> bool:
-    if isinstance(C, Box):
-        return bool(np.all(np.isneginf(np.asarray(C.lower))) and np.all(np.isposinf(np.asarray(C.upper))))
-    if isinstance(C, AffineEqual):
-        return not C.groups and not C.fixed
-    return False
-
-
-def _is_origin(C) -> bool:
-    if isinstance(C, Box):
-        lo, up = np.asarray(C.lower), np.asarray(C.upper)
-        return bool(np.all(lo == 0.0) and np.all(up == 0.0))
-    return False
-
-
-def _contains_zero(C) -> bool:
-    if isinstance(C, Box):
-        return _box_contains_zero(C)
-    if isinstance(C, AffineEqual):
-        return all(v == 0.0 for _, v in C.fixed)
-    return False
-
-
-class _EmptyIntersection:
-    """Sentinel: the merged sets are provably disjoint."""
-
-    def __repr__(self):
-        return "EMPTY_INTERSECTION"
-
-
-EMPTY_INTERSECTION = _EmptyIntersection()
-
-
-def merge_fixed_point_sets(sets):
-    """Structural intersection of fixed-point descriptors.
-
-    Returns a descriptor when the intersection is representable and
-    nonempty, ``EMPTY_INTERSECTION`` on a provable contradiction, and None
-    when the kinds cannot be merged (or some descriptor is missing).
-    Handles equal-coordinate merges with union-find chaining, box
-    intersections, and the degenerate whole-space/origin cases.
-    """
-    sets = list(sets)
-    if not sets or any(s is None for s in sets):
-        return None
-    sets = [s for s in sets if not _is_whole_space(s)]
-    if not sets:
-        return WHOLE_SPACE
-    if len(sets) == 1:
-        return sets[0]
-    if any(_is_origin(s) for s in sets):
-        if all(isinstance(s, (Box, AffineEqual)) for s in sets):
-            return ORIGIN if all(_contains_zero(s) for s in sets) else EMPTY_INTERSECTION
-        return None
-    if all(isinstance(s, AffineEqual) for s in sets):
-        return _merge_affine_equal(sets)
-    if all(isinstance(s, Box) for s in sets):
-        lo = np.asarray(sets[0].lower)
-        up = np.asarray(sets[0].upper)
-        for s in sets[1:]:
-            lo = np.maximum(lo, s.lower)
-            up = np.minimum(up, s.upper)
-        if np.any(lo > up):
-            return EMPTY_INTERSECTION
-        return Box(lo, up)
-    return None
-
-
-def _merge_affine_equal(sets):
-    # returns a merged AffineEqual or EMPTY_INTERSECTION on pin conflicts
-    parent: dict[int, int] = {}
-
-    def find(i):
-        parent.setdefault(i, i)
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    pinned: dict[int, float] = {}
-    for s in sets:
-        for g in s.groups:
-            for i in g[1:]:
-                union(g[0], i)
-        for i, v in s.fixed:
-            if i in pinned and pinned[i] != v:
-                return EMPTY_INTERSECTION
-            pinned[i] = v
-    roots: dict[int, list[int]] = {}
-    for i in parent:
-        roots.setdefault(find(i), []).append(i)
-    groups = []
-    group_pin: dict[int, float] = {}
-    for root, members in sorted(roots.items()):
-        vals = {pinned[i] for i in members if i in pinned}
-        if len(vals) > 1:
-            return EMPTY_INTERSECTION
-        if vals:
-            v = vals.pop()
-            for i in members:
-                group_pin[i] = v
-        else:
-            groups.append(tuple(sorted(members)))
-    fixed = dict(pinned)
-    fixed.update(group_pin)
-    return AffineEqual(groups=tuple(groups), fixed=tuple(sorted(fixed.items())))
 
 
 def truncation_operator(k: int, sp: SpaceParams, dim: int) -> Truncate:

@@ -14,12 +14,16 @@ Solvers per kind:
 * ``Halfspace``: the optimality system moves x along sign(a)|a|^(q-1),
   q = p/(p-1), by the step that makes the constraint active.
 
+``merge_fixed_point_sets`` intersects descriptors structurally: it is the
+rule for the fixed set of a composition or convex combination.
+
 For p = 2 these projections are nonexpansive; for p != 2 they are not in
 general, and nothing here relies on it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +41,10 @@ __all__ = [
     "sample_points",
     "projection_inequality_residual",
     "projection_pair_residual",
+    "WHOLE_SPACE",
+    "ORIGIN",
+    "EMPTY_INTERSECTION",
+    "merge_fixed_point_sets",
     "set_to_json",
     "set_from_json",
 ]
@@ -275,6 +283,118 @@ def projection_pair_residual(C, x, y, sp: SpaceParams):
         - norm_pow(y - py, sp)
     ) / sp.c_r
     return rhs - norm_pow(px - py, sp)
+
+
+WHOLE_SPACE = Box(-np.inf, np.inf)
+ORIGIN = Box(0.0, 0.0)
+
+
+class _EmptyIntersection:
+    """Sentinel: the intersected sets are provably disjoint."""
+
+    def __repr__(self):
+        return "EMPTY_INTERSECTION"
+
+
+EMPTY_INTERSECTION = _EmptyIntersection()
+
+
+def _intersection_kind(C) -> tuple:
+    """How the intersection rule sees one descriptor: its kind ("whole",
+    "origin", "box", "affine_equal", or None for a kind it cannot merge)
+    and whether the set holds the origin."""
+    if isinstance(C, Box):
+        lo, up = C.lower, C.upper
+        if np.all(np.isneginf(lo)) and np.all(np.isposinf(up)):
+            return "whole", True
+        if np.all(lo == 0.0) and np.all(up == 0.0):
+            return "origin", True
+        return "box", bool(np.all(lo <= 0.0) and np.all(up >= 0.0))
+    if isinstance(C, AffineEqual):
+        kind = "affine_equal" if C.groups or C.fixed else "whole"
+        return kind, all(v == 0.0 for _, v in C.fixed)
+    return None, False
+
+
+def merge_fixed_point_sets(sets):
+    """Structural intersection of set descriptors.
+
+    Whole-space operands drop out, and a single remaining operand (counting
+    repeats) is the answer.  Among two or more: with the origin present and
+    only boxes and equal-coordinate sets, the answer is ``ORIGIN`` when all
+    of them hold the origin and ``EMPTY_INTERSECTION`` otherwise;
+    equal-coordinate sets alone merge by union-find over their groups and
+    pins, boxes alone by their coordinatewise meet, each
+    ``EMPTY_INTERSECTION`` on a contradiction.  Any other mix, a ball or
+    halfspace among several operands, or a missing descriptor (None) gives
+    None.  Each distinct descriptor (by identity) is examined once, so n
+    copies of one set cost what one does.
+    """
+    sets = list(sets)
+    if not sets or any(s is None for s in sets):
+        return None
+    distinct = {id(s): s for s in sets}
+    kinds = {key: _intersection_kind(s) for key, s in distinct.items()}
+    kept = [s for s in sets if kinds[id(s)][0] != "whole"]
+    if len(kept) < 2:
+        return kept[0] if kept else WHOLE_SPACE
+    kept = [s for key, s in distinct.items() if kinds[key][0] != "whole"]
+    labels = {kinds[id(s)][0] for s in kept}
+    if "origin" in labels and None not in labels:
+        return ORIGIN if all(kinds[id(s)][1] for s in kept) else EMPTY_INTERSECTION
+    if labels == {"affine_equal"}:
+        return _merge_affine_equal(kept)
+    if labels == {"box"}:
+        lo = functools.reduce(np.maximum, [s.lower for s in kept])
+        up = functools.reduce(np.minimum, [s.upper for s in kept])
+        return EMPTY_INTERSECTION if np.any(lo > up) else Box(lo, up)
+    return None
+
+
+def _merge_affine_equal(sets):
+    # returns a merged AffineEqual or EMPTY_INTERSECTION on pin conflicts
+    parent: dict[int, int] = {}
+
+    def find(i):
+        parent.setdefault(i, i)
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i, j):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+
+    pinned: dict[int, float] = {}
+    for s in sets:
+        for g in s.groups:
+            for i in g[1:]:
+                union(g[0], i)
+        for i, v in s.fixed:
+            if i in pinned and pinned[i] != v:
+                return EMPTY_INTERSECTION
+            pinned[i] = v
+    roots: dict[int, list[int]] = {}
+    for i in parent:
+        roots.setdefault(find(i), []).append(i)
+    groups = []
+    group_pin: dict[int, float] = {}
+    for root, members in sorted(roots.items()):
+        vals = {pinned[i] for i in members if i in pinned}
+        if len(vals) > 1:
+            return EMPTY_INTERSECTION
+        if vals:
+            v = vals.pop()
+            for i in members:
+                group_pin[i] = v
+        else:
+            groups.append(tuple(sorted(members)))
+    fixed = dict(pinned)
+    fixed.update(group_pin)
+    return AffineEqual(groups=tuple(groups), fixed=tuple(sorted(fixed.items())))
+
 
 
 def set_to_json(C) -> dict:

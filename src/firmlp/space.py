@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "SpaceParams",
     "space_params",
-    "as_vector",
     "lp_norm",
     "norm_pow",
     "convexity_residual",
@@ -35,16 +34,6 @@ def _check_p(p: float) -> float:
     if not math.isfinite(p) or p <= 1.0:
         raise ValueError(f"p must be a finite real in (1, inf), got {p!r}")
     return p
-
-
-def as_vector(x) -> np.ndarray:
-    """Coerce to a finite 1-d float array of length >= 1."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a nonempty 1-d coordinate array")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("coordinates must be finite (no NaN/Inf)")
-    return v
 
 
 @dataclass(frozen=True)

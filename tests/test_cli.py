@@ -193,6 +193,23 @@ class TestIterateCommand:
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert len(lines) == 2  # header plus x0; the overflowed step is not kept
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_summary_is_strict_json(self, tmp_path):
+        doc = {
+            "p": 3.0,
+            "dim": 2,
+            "operator": {"kind": "scale", "factor": 1e300},
+            "x0": [1e10, 0.0],
+        }
+        cfg = write_config(tmp_path, "i.json", doc)
+        assert main(["iterate", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+        def reject(name):
+            raise ValueError(f"{name} is not RFC 8259 JSON")
+
+        summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+        assert summary["final_step_norm"] is None
+
     def test_affine_without_matrix_exit1_names_key(self, tmp_path, capsys):
         doc = {"p": 2.0, "dim": 2, "operator": {"kind": "affine"}, "x0": [1.0, 0.0]}
         cfg = write_config(tmp_path, "i.json", doc)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -31,7 +33,7 @@ from firmlp.operators import (
     stable_activation,
     truncation_operator,
 )
-from firmlp.projections import AffineEqual, Box
+from firmlp.projections import AffineEqual, Ball, Box, Halfspace
 from firmlp.space import lp_norm, space_params
 
 SP2 = space_params(2.0)
@@ -356,7 +358,118 @@ class TestNeuralNetwork:
             neural_network([bare], stable_activation("relu"), SP2)
 
 
+_INF = np.inf
+_BALL = Ball([0.0, 0.0], 1.0)
+_TWO_GROUPS = AffineEqual(groups=((2, 3), (0, 1)))
+
+# One case per branch of the intersection rule.  Expected values: an operand
+# returned as is ("operand", k), a box ("box", lower, upper, shape), an
+# AffineEqual compared with its exact group order, None or EMPTY_INTERSECTION.
+MERGE_CASES = {
+    "no_operands": ([], None),
+    "missing_descriptor": ([None, AffineEqual(groups=((0, 1),))], None),
+    "whole_box_dropped": ([Box(-_INF, _INF), AffineEqual(groups=((0, 1),))], ("operand", 1)),
+    "whole_box_array_dropped": ([Box([-_INF, -_INF], [_INF, _INF]), Box(1.0, 2.0)], ("operand", 1)),
+    "whole_affine_dropped": ([AffineEqual(), Box(1.0, 2.0)], ("operand", 1)),
+    "only_whole": ([AffineEqual(), Box(-_INF, _INF)], ("box", -_INF, _INF, ())),
+    "single_ball": ([Box(-_INF, _INF), _BALL], ("operand", 1)),
+    "origin_affine_zero_pins": (
+        [Box(0.0, 0.0), AffineEqual(groups=((0, 1),), fixed=((2, 0.0),))],
+        ("box", 0.0, 0.0, ()),
+    ),
+    "origin_affine_nonzero_pins": (
+        [Box(0.0, 0.0), AffineEqual(groups=((0, 1),), fixed=((2, 1.5),))],
+        EMPTY_INTERSECTION,
+    ),
+    "origin_box_holding_zero": (
+        [Box([0.0, 0.0], [0.0, 0.0]), Box([0.0, -1.0], [_INF, 1.0])],
+        ("box", 0.0, 0.0, ()),
+    ),
+    "origin_box_missing_zero": ([Box(0.0, 0.0), Box(1.0, 2.0)], EMPTY_INTERSECTION),
+    "origin_ball": ([Box(0.0, 0.0), _BALL], None),
+    "disjoint_boxes": ([Box(1.0, 2.0), Box(-2.0, -1.0)], EMPTY_INTERSECTION),
+    "box_meet": (
+        [Box([-1.0, -1.0], [1.0, 1.0]), Box([0.5, -3.0], [4.0, 3.0]), Box(-_INF, 0.75)],
+        ("box", [0.5, -1.0], [0.75, 0.75], (2,)),
+    ),
+    "pin_conflict": (
+        [AffineEqual(fixed=((0, 1.0),)), AffineEqual(fixed=((0, 2.0),))],
+        EMPTY_INTERSECTION,
+    ),
+    "group_pin_conflict": (
+        [AffineEqual(groups=((0, 1),)), AffineEqual(fixed=((0, 1.0), (1, 2.0)))],
+        EMPTY_INTERSECTION,
+    ),
+    "pin_spreads_over_group": (
+        [AffineEqual(groups=((0, 1),)), AffineEqual(fixed=((1, 2.0),))],
+        AffineEqual(fixed=((0, 2.0), (1, 2.0))),
+    ),
+    "box_and_affine": ([Box(-1.0, 1.0), AffineEqual(groups=((0, 1),))], None),
+    "ball_and_box": ([_BALL, Box(-1.0, 1.0)], None),
+    "halfspace_and_affine": ([Halfspace([1.0, 0.0], 0.0), AffineEqual(groups=((0, 1),))], None),
+    "multi_group_merge": (
+        [
+            _TWO_GROUPS,
+            AffineEqual(groups=((1, 5),), fixed=((4, 0.5),)),
+            AffineEqual(groups=((3, 6),)),
+        ],
+        AffineEqual(groups=((0, 1, 5), (2, 3, 6)), fixed=((4, 0.5),)),
+    ),
+    # two copies go through the merge, which orders groups by their largest index
+    "repeated_operand": ([_TWO_GROUPS, _TWO_GROUPS], AffineEqual(groups=((0, 1), (2, 3)))),
+}
+
+
 class TestFixedPointMerging:
+    @pytest.mark.parametrize("case", sorted(MERGE_CASES))
+    def test_rule_table(self, case):
+        sets, expected = MERGE_CASES[case]
+        out = merge_fixed_point_sets(sets)
+        if isinstance(expected, tuple) and expected[0] == "operand":
+            assert out is sets[expected[1]]
+        elif isinstance(expected, tuple):
+            _, lower, upper, shape = expected
+            assert isinstance(out, Box) and np.shape(out.lower) == np.shape(out.upper) == shape
+            assert np.array_equal(out.lower, lower) and np.array_equal(out.upper, upper)
+        elif isinstance(expected, AffineEqual):
+            assert isinstance(out, AffineEqual)
+            assert (out.groups, out.fixed) == (expected.groups, expected.fixed)
+        else:
+            assert out is expected
+
+    def test_repeated_operand_is_examined_once(self, monkeypatch):
+        # a semigroup product of n steps intersects n copies of one fixed set
+        S = AffineEqual(groups=((0, 1),), fixed=((2, 0.5),))
+        reads, operands = [], []
+        read = AffineEqual.__getattribute__
+
+        def counting_read(self, name):
+            if name in ("groups", "fixed"):
+                reads.append(name)
+            return read(self, name)
+
+        module = sys.modules[merge_fixed_point_sets.__module__]
+        meet = module._merge_affine_equal
+
+        def counting_meet(sets):
+            operands.append(len(sets))
+            return meet(sets)
+
+        monkeypatch.setattr(module, "_merge_affine_equal", counting_meet)
+
+        def work(n):
+            reads.clear()
+            operands.clear()
+            with monkeypatch.context() as m:
+                m.setattr(AffineEqual, "__getattribute__", counting_read)
+                out = merge_fixed_point_sets([S] * n)
+            return out, len(reads), list(operands)
+
+        out, reads_1024, operands_1024 = work(1024)
+        assert (out.groups, out.fixed) == (S.groups, S.fixed)
+        assert (reads_1024, operands_1024) == work(2)[1:]
+        assert operands_1024 == [1]
+
     def test_origin_intersection(self):
         out = merge_fixed_point_sets([Box(0.0, 0.0), AffineEqual(groups=((0, 1),))])
         assert isinstance(out, Box)
