@@ -28,9 +28,11 @@ states the rule).
 
 Nodes that are affine on their input (the affine, scale, truncation, swap
 and identity atoms; averages, compositions and convex combinations of
-affine nodes; closed-form resolvents) give their matrix and offset through
-``affine_form``, which ``Resolvent`` uses to replace its iteration by one
-cached linear solve.
+affine nodes; closed-form resolvents) set ``affine``.  ``affine_form`` then
+reads their matrix and offset off the map itself, so each node states its
+map once, in ``_apply``; ``Resolvent`` uses that form to replace its
+iteration by one cached linear solve.  Every other resolvent iterates, and
+its stop rule is absolute on inputs above norm 1 and relative below it.
 """
 
 from __future__ import annotations
@@ -120,11 +122,13 @@ _UNKNOWN = OperatorMeta()
 class OperatorExpr:
     """Base class; subclasses implement ``_apply`` on (..., d) arrays.
 
-    Each subclass constructor sets ``meta`` and, where the node restricts
-    the dimension, ``dims`` = (minimum dimension, exact dimension or None).
+    Each subclass constructor sets ``meta``, ``affine`` when the node is
+    affine on its input and, where the node restricts the dimension,
+    ``dims`` = (minimum dimension, exact dimension or None).
     """
 
     meta: OperatorMeta = _UNKNOWN
+    affine: bool = False
     dims: tuple[int, int | None] = (1, None)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
@@ -132,8 +136,19 @@ class OperatorExpr:
 
     def affine_form(self, d: int) -> tuple[np.ndarray, np.ndarray] | None:
         """(W, b) with self(x) = W x + b on dimension d, or None when the
-        node is not known to be affine."""
-        return None
+        node is not known to be affine.
+
+        Both are read off ``_apply``: b = T(0) and W e_i = (T(s e_i) - b)/s,
+        with s the least power of two >= max(1, max|b|).  Scaling by a power
+        of two is exact, and with s >= |b| subtracting b cancels no digits
+        of W; for b = 0 the matrix is exact.
+        """
+        if not self.affine:
+            return None
+        b = self._apply(np.zeros(d))
+        b_max = min(float(np.max(np.abs(b))), 2.0**1023)  # keeps s finite
+        s = 2.0 ** math.ceil(math.log2(max(1.0, b_max)))
+        return ((self._apply(s * np.eye(d)) - b) / s).T, b
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -162,11 +177,12 @@ class Affine(OperatorExpr):
     Nonexpansiveness is self-certified through the interpolation bound
     ||W||_p <= ||W||_1^(1/p) ||W||_inf^(1-1/p); the bound is sound but not
     sharp, so the flag may stay off for maps that are in fact nonexpansive.
+    ``p`` has no default: a bound at one p certifies nothing at another.
     """
 
     W: np.ndarray
     b: np.ndarray
-    p: float = 2.0
+    p: float
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=float)
@@ -179,6 +195,7 @@ class Affine(OperatorExpr):
             raise ValueError("Affine offset must be a finite vector matching W")
         self.W = W
         self.b = b
+        self.affine = True
         self.dims = (W.shape[0], W.shape[0])
         self.meta = OperatorMeta(
             proven_nonexpansive=bool(interpolation_norm_bound(W, self.p) <= 1.0)
@@ -186,9 +203,6 @@ class Affine(OperatorExpr):
 
     def _apply(self, x):
         return x @ self.W.T + self.b
-
-    def affine_form(self, d):
-        return self.W, self.b
 
 
 def interpolation_norm_bound(W: np.ndarray, p: float) -> float:
@@ -210,6 +224,7 @@ class Scale(OperatorExpr):
         self.factor = float(self.factor)
         if not math.isfinite(self.factor):
             raise ValueError("scale factor must be finite")
+        self.affine = True
         self.meta = OperatorMeta(
             proven_nonexpansive=abs(self.factor) <= 1.0,
             fixed_points=WHOLE_SPACE if self.factor == 1.0 else ORIGIN,
@@ -217,9 +232,6 @@ class Scale(OperatorExpr):
 
     def _apply(self, x):
         return self.factor * x
-
-    def affine_form(self, d):
-        return self.factor * np.eye(d), np.zeros(d)
 
 
 def identity() -> Scale:
@@ -243,6 +255,7 @@ class Truncate(OperatorExpr):
         self.dim = None if self.dim is None else int(self.dim)
         if self.keep < 1 or (self.dim is not None and self.keep >= self.dim):
             raise ValueError(f"truncation requires 1 <= k < dim, got k={self.keep}, dim={self.dim}")
+        self.affine = True
         self.dims = (self.keep + 1, None)
         fixed = None
         if self.dim is not None:
@@ -259,9 +272,6 @@ class Truncate(OperatorExpr):
         out[..., self.keep :] = 0.0
         return out
 
-    def affine_form(self, d):
-        return np.diag((np.arange(d) < self.keep).astype(float)), np.zeros(d)
-
 
 @dataclass(eq=False)
 class SwapIsometry(OperatorExpr):
@@ -274,6 +284,7 @@ class SwapIsometry(OperatorExpr):
         self.i, self.j = int(self.i), int(self.j)
         if self.i < 0 or self.j < 0 or self.i == self.j:
             raise ValueError("swap indices must be distinct and nonnegative")
+        self.affine = True
         self.dims = (max(self.i, self.j) + 1, None)
         self.meta = OperatorMeta(
             proven_nonexpansive=True,
@@ -284,9 +295,6 @@ class SwapIsometry(OperatorExpr):
         out = np.array(x, copy=True)
         out[..., [self.i, self.j]] = x[..., [self.j, self.i]]
         return out
-
-    def affine_form(self, d):
-        return self._apply(np.eye(d)), np.zeros(d)
 
 
 _ACTIVATIONS = {
@@ -317,6 +325,7 @@ class Activation(OperatorExpr):
             raise ValueError(
                 f"unknown activation {self.name!r}; choose from {sorted(_ACTIVATIONS)}"
             )
+        self.affine = self.name == "identity"
         self.meta = OperatorMeta(
             proven_nonexpansive=True,
             alpha_firm=0.5,
@@ -326,9 +335,6 @@ class Activation(OperatorExpr):
 
     def _apply(self, x):
         return _ACTIVATIONS[self.name](x)
-
-    def affine_form(self, d):
-        return (np.eye(d), np.zeros(d)) if self.name == "identity" else None
 
 
 def stable_activation(name: str) -> Activation:
@@ -348,6 +354,7 @@ class Averaged(OperatorExpr):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("averaging constant must lie in (0, 1)")
         self.dims = self.inner.dims
+        self.affine = self.inner.affine
         proven = self.inner.meta.proven_nonexpansive
         self.meta = OperatorMeta(
             proven_nonexpansive=proven,
@@ -359,13 +366,6 @@ class Averaged(OperatorExpr):
 
     def _apply(self, x):
         return (1.0 - self.alpha) * x + self.alpha * self.inner._apply(x)
-
-    def affine_form(self, d):
-        form = self.inner.affine_form(d)
-        if form is None:
-            return None
-        W, b = form
-        return (1.0 - self.alpha) * np.eye(d) + self.alpha * W, self.alpha * b
 
 
 def averaged(R: OperatorExpr, alpha: float) -> Averaged:
@@ -443,6 +443,7 @@ class Compose(OperatorExpr):
             raise ValueError("compose requires at least one operator")
         self.ops = ops
         self.dims = _merged_dims(ops)
+        self.affine = all(op.affine for op in ops)
         alphas = [op.meta.alpha_firm for op in ops]
         firm = None
         if self.sp is not None and all(a is not None for a in alphas):
@@ -458,15 +459,6 @@ class Compose(OperatorExpr):
         for op in reversed(self.ops):
             x = op._apply(x)
         return x
-
-    def affine_form(self, d):
-        W, b = np.eye(d), np.zeros(d)
-        for op in reversed(self.ops):
-            form = op.affine_form(d)
-            if form is None:
-                return None
-            W, b = form[0] @ W, form[0] @ b + form[1]
-        return W, b
 
 
 @dataclass(eq=False)
@@ -491,6 +483,7 @@ class ConvexCombo(OperatorExpr):
         self.ops = ops
         self.weights = tuple(float(v) for v in w)
         self.dims = _merged_dims(ops)
+        self.affine = all(op.affine for op in ops)
         alphas = [op.meta.alpha_firm for op in ops]
         firm = max(alphas) if all(a is not None for a in alphas) else None
         avgs = [op.meta.averaged for op in ops]
@@ -505,15 +498,6 @@ class ConvexCombo(OperatorExpr):
         for w, op in zip(self.weights[1:], self.ops[1:]):
             out = out + w * op._apply(x)
         return out
-
-    def affine_form(self, d):
-        forms = [op.affine_form(d) for op in self.ops]
-        if any(form is None for form in forms):
-            return None
-        return (
-            sum(w * W for w, (W, _) in zip(self.weights, forms)),
-            sum(w * b for w, (_, b) in zip(self.weights, forms)),
-        )
 
 
 @dataclass(eq=False)
@@ -535,16 +519,18 @@ class Resolvent(OperatorExpr):
     Iteration: every other inner map (nonlinear, or without a certificate;
     building the node warns for the latter) runs the contraction above, with
     factor q = lam/(1+lam) when F is nonexpansive.  Evaluation stops at a
-    step of at most ``tol``, or at a step that stops shrinking within the
-    rounding floor ``tol * max(1, ||y||)``, so the error is about tol lam.
+    step of at most ``tol * min(1, max(max|x|, delta_1))``, delta_1 the
+    first step: absolute for inputs of scale 1 and above, relative below,
+    so the error is about tol lam times that scale.  It also stops at a step
+    that stops shrinking within the rounding floor ``tol * max(1, ||y||)``.
     A step that stops shrinking above that floor, an exhausted geometric
-    step budget, or a lam so large that q rounds to 1 raises
-    ``ResolventDiverged``.
+    step budget (counted from delta_1 down to the stop threshold), or a lam
+    so large that q rounds to 1 raises ``ResolventDiverged``.
     """
 
     inner: OperatorExpr
     lam: float
-    p: float = 2.0
+    p: float
     tol: float = 1e-12
     _forms: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -560,6 +546,7 @@ class Resolvent(OperatorExpr):
                 "the contraction iteration may diverge",
                 stacklevel=3,
             )
+        self.affine = proven and self.inner.affine
         self.meta = OperatorMeta(
             proven_nonexpansive=proven,
             alpha_firm=0.5 if proven else None,
@@ -567,15 +554,13 @@ class Resolvent(OperatorExpr):
             fixed_points=self.inner.meta.fixed_points if proven else None,
         )
 
-    def affine_form(self, d):
+    def _closed_form(self, d):
         """(A^(-1), lam A^(-1) b) when the closed form applies, else None;
         computed once per dimension d."""
         if d not in self._forms:
             form = None
-            if self.lam > 0.0 and self.inner.meta.proven_nonexpansive:
-                form = self.inner.affine_form(d)
-            if form is not None:
-                W, b = form
+            if self.lam > 0.0 and self.affine:
+                W, b = self.inner.affine_form(d)
                 eye = np.eye(d)
                 # I - W first: it cancels exactly on vectors W fixes exactly,
                 # so A keeps them fixed; (1+lam) I - lam W would round them
@@ -592,7 +577,7 @@ class Resolvent(OperatorExpr):
     def _apply(self, x):
         if self.lam == 0.0:
             return np.array(x, copy=True)
-        form = self.affine_form(x.shape[-1])
+        form = self._closed_form(x.shape[-1])
         if form is not None:
             y = x @ form[0].T + form[1]
             if not np.isfinite(y).all():
@@ -611,7 +596,9 @@ class Resolvent(OperatorExpr):
             gap = np.abs(y_next - y)
             delta = float(np.max(np.sum(gap**self.p, axis=-1) ** (1.0 / self.p)))
             y = y_next
-            if delta <= self.tol:
+            if it == 0:
+                scale = min(1.0, max(float(np.max(np.abs(x))), delta))
+            if delta <= self.tol * scale:
                 return y
             if not delta < prev:
                 # rounding stalls a contraction's steps near ulp(||y||)
@@ -621,7 +608,8 @@ class Resolvent(OperatorExpr):
                     return y
                 break
             if it == 0:
-                budget = max(int(math.log(self.tol / delta) / math.log(q)) + 20, 20)
+                # tol * (scale/delta) stays normal where tol * scale may underflow
+                budget = max(int(math.log(self.tol * (scale / delta)) / math.log(q)) + 20, 20)
             elif it > budget:
                 break
             prev = delta

@@ -63,8 +63,8 @@ class Box:
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
         up = np.asarray(self.upper, dtype=float)
-        if np.any(lo > up):
-            raise ValueError("Box requires lower <= upper coordinatewise")
+        if not np.all(lo <= up):  # also rejects NaN bounds
+            raise ValueError("Box requires lower <= upper coordinatewise, with no NaN")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
 

@@ -375,6 +375,7 @@ class TestFeasibilityCommand:
 
     @pytest.mark.parametrize("image, message", [
         ({"kind": "box"}, "'lower'"),
+        ({"kind": "box", "lower": [float("nan"), -1.0], "upper": [1.0, 1.0]}, "lower <= upper"),
         (5, "convex set kind"),
     ])
     def test_malformed_image_exit1(self, tmp_path, capsys, image, message):

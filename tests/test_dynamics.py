@@ -23,7 +23,6 @@ from firmlp.operators import (
     ContractiveProjection,
     ConvexCombo,
     DimensionMismatch,
-    OperatorExpr,
     Resolvent,
     ResolventDiverged,
     Scale,
@@ -230,17 +229,19 @@ class TestResolvent:
         assert out[0] == pytest.approx(1e-20 / 3.0, rel=1e-15, abs=0.0)
         assert out[1] == 0.0
 
+    def test_tiny_input_nonlinear_inner(self):
+        # the first step, 1e-20, is far below tol: the stop must be relative
+        F = compose([Scale(-1.0), Activation("relu")], SP3)
+        out = resolvent_apply(F, 1.0, (1e-20, 0.0), SP3)
+        assert out[0] == pytest.approx(1e-20 / 3.0, rel=1e-10, abs=0.0)
+        assert out[1] == 0.0
+
     def test_iteration_cost_scales_with_contraction_factor(self):
         # residual after k steps decays like (lam/(1+lam))^k
         F = Scale(-1.0)
         x = np.array([1.0, 2.0, 3.0])
         out = resolvent_apply(F, 10.0, x, SP3, tol=1e-12)
         assert np.allclose(out, x / 21.0, atol=1e-10)
-
-
-AFFINE_KINDS = (
-    Affine, Scale, SwapIsometry, Truncate, Activation, Averaged, Compose, ConvexCombo, Resolvent
-)
 
 
 def _affine_map(sp, d):
@@ -292,20 +293,47 @@ class TestResolventClosedForm:
     @pytest.mark.parametrize("batched", [False, True])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("name", sorted(AFFINE_CASES))
-    def test_matches_iteration(self, monkeypatch, name, p, batched):
+    def test_matches_iteration(self, monkeypatch, inv_calls, name, p, batched):
         sp = space_params(p)
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, self.D) if batched else self.D)
         with monkeypatch.context() as m:
-            # the reference: the same tree with every affine form hidden
-            for kind in AFFINE_KINDS:
-                m.setattr(kind, "affine_form", OperatorExpr.affine_form)
+            # the reference: every resolvent in the tree runs the iteration
+            m.setattr(Resolvent, "_closed_form", lambda self, d: None)
             reference = [Resolvent(AFFINE_CASES[name](sp, self.D), lam, p=p)(x) for lam in (0.3, 4.0)]
+        assert not inv_calls
         for lam, ref in zip((0.3, 4.0), reference):
             R = Resolvent(AFFINE_CASES[name](sp, self.D), lam, p=p)
-            assert R.affine_form(self.D) is not None
+            inv_calls.clear()
             out = R(x)
+            assert inv_calls
             assert np.all(lp_norm(out - ref, p) <= 1e-10 * lp_norm(ref, p))
+
+    @pytest.mark.parametrize("offset", [1e-150, 1.0, 1e6, 1e150, 1e300])
+    def test_closed_form_accurate_at_any_offset(self, offset):
+        rng = np.random.default_rng(8)
+        layers = [
+            averaged(
+                guaranteed_nonexpansive_affine(
+                    rng.normal(size=(self.D, self.D)), offset * rng.uniform(-1, 1, self.D), 3.0
+                ),
+                0.5,
+            )
+            for _ in range(3)
+        ]
+        F, lam = compose(layers, SP3), 2.0
+        x = offset * rng.uniform(-1, 1, self.D)
+        y = Resolvent(F, lam, p=3.0)(x)
+        Fy = F(y)
+        # residual of y + lam (y - F y) = x, relative to its largest term
+        scale = max(np.max(np.abs(t)) for t in (x, (1.0 + lam) * y, lam * Fy))
+        assert np.max(np.abs(y + lam * (y - Fy) - x)) <= 1e-14 * scale
+
+    def test_offset_near_overflow(self):
+        # the probe's power-of-two scale stops at 2^1023 instead of overflowing
+        F = Affine(0.5 * np.eye(2), np.array([1e308, 0.0]), p=2.0)
+        y = Resolvent(F, 0.5, p=2.0)(np.array([1.0, 2.0]))
+        assert y == pytest.approx([(1.0 + 5e307) / 1.25, 1.6], rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("name", ["tanh", "relu"])
     def test_nonlinear_inner_iterates(self, inv_calls, name):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from firmlp.certify import Sampler, certify_alpha_firm
 from firmlp.operators import (
     Activation,
     Affine,
@@ -81,7 +82,7 @@ class TestApply:
         with pytest.raises(DimensionMismatch):
             Truncate(2)([1.0, 2.0])
         with pytest.raises(DimensionMismatch):
-            Affine(np.eye(3), np.zeros(3))([1.0, 2.0])
+            Affine(np.eye(3), np.zeros(3), p=2.0)([1.0, 2.0])
 
     @given(st.lists(st.floats(-10, 10), min_size=4, max_size=4))
     def test_swap_preserves_norm(self, xs):
@@ -345,7 +346,7 @@ class TestNeuralNetwork:
 
     def test_zero_weight_layers_oracle(self):
         dim = 3
-        zero = averaged(Affine(np.zeros((dim, dim)), np.zeros(dim)), 0.5)
+        zero = averaged(Affine(np.zeros((dim, dim)), np.zeros(dim), p=2.0), 0.5)
         net = neural_network([zero, zero], stable_activation("relu"), SP2)
         x = np.array([2.0, -4.0, 1.0])
         # each layer halves, relu clips between the halvings
@@ -353,7 +354,7 @@ class TestNeuralNetwork:
         assert np.allclose(net(x), expect, atol=1e-15)
 
     def test_layer_without_constant_rejected(self):
-        bare = Affine(np.eye(2) * 0.5, np.zeros(2))
+        bare = Affine(np.eye(2) * 0.5, np.zeros(2), p=2.0)
         with pytest.raises(ValueError):
             neural_network([bare], stable_activation("relu"), SP2)
 
@@ -510,20 +511,36 @@ class TestMetadataIsDerived:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda meta: Scale(2.0, meta=meta),
-            lambda meta: Truncate(1, meta=meta),
-            lambda meta: SwapIsometry(0, 1, meta=meta),
-            lambda meta: Activation("relu", meta=meta),
-            lambda meta: Affine(np.eye(2), np.zeros(2), meta=meta),
-            lambda meta: Averaged(Scale(2.0), 0.5, meta=meta),
-            lambda meta: Compose((Scale(2.0),), meta=meta),
-            lambda meta: ConvexCombo((Scale(2.0),), (1.0,), meta=meta),
-            lambda meta: Resolvent(Scale(2.0), 1.0, meta=meta),
+            lambda kw: Scale(2.0, **kw),
+            lambda kw: Truncate(1, **kw),
+            lambda kw: SwapIsometry(0, 1, **kw),
+            lambda kw: Activation("relu", **kw),
+            lambda kw: Affine(np.eye(2), np.zeros(2), p=2.0, **kw),
+            lambda kw: Averaged(Scale(2.0), 0.5, **kw),
+            lambda kw: Compose((Scale(2.0),), **kw),
+            lambda kw: ConvexCombo((Scale(2.0),), (1.0,), **kw),
+            lambda kw: Resolvent(Scale(2.0), 1.0, p=2.0, **kw),
         ],
     )
     def test_meta_keyword_rejected(self, build):
+        for kw in ({"meta": OperatorMeta(proven_nonexpansive=True, alpha_firm=0.01)},
+                   {"affine": True}):
+            with pytest.raises(TypeError):
+                build(kw)
+
+    def test_space_exponent_is_required(self):
+        # the l2 bound certifies W, yet ||W||_3 = 1.122: a silent p = 2
+        # would attach a firm constant that fails at p = 3
+        W = np.array([[1.0, 1.0], [0.0, 0.0]]) / np.sqrt(2.0)
         with pytest.raises(TypeError):
-            build(OperatorMeta(proven_nonexpansive=True, alpha_firm=0.01))
+            Affine(W, np.zeros(2))
+        with pytest.raises(TypeError):
+            Resolvent(Scale(-1.0), 1.0)
+        l2_claim = averaged(Affine(W, np.zeros(2), p=2.0), 0.5)
+        assert l2_claim.meta.alpha_firm == 0.5
+        samplers = (Sampler(seed=3, dim=2), Sampler(seed=4, dim=2))
+        assert not certify_alpha_firm(l2_claim, 0.5, SP3, samplers, n=20_000).passed
+        assert averaged(Affine(W, np.zeros(2), p=3.0), 0.5).meta.alpha_firm is None
 
 
 class TestJsonRoundTrip:

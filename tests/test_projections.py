@@ -125,8 +125,9 @@ class TestProject:
 
 class TestSetValidation:
     def test_box_bounds(self):
-        with pytest.raises(ValueError):
-            Box(lower=1.0, upper=0.0)
+        for lower, upper in ((1.0, 0.0), (np.nan, 1.0), (0.0, np.nan), ([np.nan, -1.0], [1.0, 1.0])):
+            with pytest.raises(ValueError):
+                Box(lower=lower, upper=upper)
 
     def test_ball_radius(self):
         with pytest.raises(ValueError):
