@@ -29,10 +29,12 @@ states the rule).
 Nodes that are affine on their input (the affine, scale, truncation, swap
 and identity atoms; averages, compositions and convex combinations of
 affine nodes; closed-form resolvents) set ``affine``.  ``affine_form`` then
-reads their matrix and offset off the map itself, so each node states its
-map once, in ``_apply``; ``Resolvent`` uses that form to replace its
-iteration by one cached linear solve.  Every other resolvent iterates, and
-its stop rule is absolute on inputs above norm 1 and relative below it.
+gives their matrix and offset: the affine atom returns its stored pair,
+the other atoms' pairs are read off the map itself, and the combinators
+multiply and add their operands' pairs.  ``Resolvent`` uses that form to
+replace its iteration by one cached linear solve.  Every other resolvent
+iterates, and its stop rule is absolute on rows above norm 1 and relative
+below it, row by row.
 """
 
 from __future__ import annotations
@@ -136,15 +138,17 @@ class OperatorExpr:
 
     def affine_form(self, d: int) -> tuple[np.ndarray, np.ndarray] | None:
         """(W, b) with self(x) = W x + b on dimension d, or None when the
-        node is not known to be affine.
+        node is not known to be affine."""
+        return self._form(d) if self.affine else None
 
-        Both are read off ``_apply``: b = T(0) and W e_i = (T(s e_i) - b)/s,
-        with s the least power of two >= max(1, max|b|).  Scaling by a power
-        of two is exact, and with s >= |b| subtracting b cancels no digits
-        of W; for b = 0 the matrix is exact.
-        """
-        if not self.affine:
-            return None
+    def _form(self, d):
+        """An atom's (W, b), read off ``_apply``: b = T(0) and
+        W e_i = (T(s e_i) - b)/s, with s the least power of two
+        >= max(1, max|b|).  Scaling by a power of two is exact, and with
+        s >= |b| subtracting the atom's own offset costs W at most about
+        eps; for b = 0 the matrix is exact.  Combinators build theirs from
+        their operands' forms instead: an offset inside a tree that later
+        cancels would swamp W in a probe of the whole tree."""
         b = self._apply(np.zeros(d))
         b_max = min(float(np.max(np.abs(b))), 2.0**1023)  # keeps s finite
         s = 2.0 ** math.ceil(math.log2(max(1.0, b_max)))
@@ -203,6 +207,9 @@ class Affine(OperatorExpr):
 
     def _apply(self, x):
         return x @ self.W.T + self.b
+
+    def _form(self, d):
+        return self.W, self.b
 
 
 def interpolation_norm_bound(W: np.ndarray, p: float) -> float:
@@ -367,6 +374,10 @@ class Averaged(OperatorExpr):
     def _apply(self, x):
         return (1.0 - self.alpha) * x + self.alpha * self.inner._apply(x)
 
+    def _form(self, d):
+        W, b = self.inner._form(d)
+        return (1.0 - self.alpha) * np.eye(d) + self.alpha * W, self.alpha * b
+
 
 def averaged(R: OperatorExpr, alpha: float) -> Averaged:
     """Average R with the identity; attaches alpha as firm and averaging
@@ -460,6 +471,13 @@ class Compose(OperatorExpr):
             x = op._apply(x)
         return x
 
+    def _form(self, d):
+        W, b = np.eye(d), np.zeros(d)
+        for op in reversed(self.ops):
+            W_op, b_op = op._form(d)
+            W, b = W_op @ W, W_op @ b + b_op
+        return W, b
+
 
 @dataclass(eq=False)
 class ConvexCombo(OperatorExpr):
@@ -499,6 +517,13 @@ class ConvexCombo(OperatorExpr):
             out = out + w * op._apply(x)
         return out
 
+    def _form(self, d):
+        forms = [op._form(d) for op in self.ops]
+        return (
+            sum(w * W for w, (W, _) in zip(self.weights, forms)),
+            sum(w * b for w, (_, b) in zip(self.weights, forms)),
+        )
+
 
 @dataclass(eq=False)
 class Resolvent(OperatorExpr):
@@ -518,21 +543,24 @@ class Resolvent(OperatorExpr):
 
     Iteration: every other inner map (nonlinear, or without a certificate;
     building the node warns for the latter) runs the contraction above, with
-    factor q = lam/(1+lam) when F is nonexpansive.  Evaluation stops at a
-    step of at most ``tol * min(1, max(max|x|, delta_1))``, delta_1 the
-    first step: absolute for inputs of scale 1 and above, relative below,
-    so the error is about tol lam times that scale.  It also stops at a step
-    that stops shrinking within the rounding floor ``tol * max(1, ||y||)``.
+    factor q = lam/(1+lam) when F is nonexpansive.  Each row of a batch has
+    its own stop threshold ``tol * scale``, scale = min(1, max(max|x|,
+    delta_1)) with delta_1 its first step: absolute for rows of scale 1 and
+    above, relative below, so a row's error is about tol lam times its scale
+    whatever else is in the batch.  Evaluation stops once every row's step
+    is within its threshold or, when the largest step stops shrinking, has
+    stopped shrinking within the rounding floor ``tol * max(scale, ||y||)``.
     A step that stops shrinking above that floor, an exhausted geometric
-    step budget (counted from delta_1 down to the stop threshold), or a lam
-    so large that q rounds to 1 raises ``ResolventDiverged``.
+    step budget (counted for the slowest row from delta_1 down to its
+    threshold), or a lam so large that q rounds to 1 raises
+    ``ResolventDiverged``.
     """
 
     inner: OperatorExpr
     lam: float
     p: float
     tol: float = 1e-12
-    _forms: dict = field(default_factory=dict, init=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.lam = float(self.lam)
@@ -557,7 +585,7 @@ class Resolvent(OperatorExpr):
     def _closed_form(self, d):
         """(A^(-1), lam A^(-1) b) when the closed form applies, else None;
         computed once per dimension d."""
-        if d not in self._forms:
+        if d not in self._cache:
             form = None
             if self.lam > 0.0 and self.affine:
                 W, b = self.inner.affine_form(d)
@@ -571,8 +599,8 @@ class Resolvent(OperatorExpr):
                         f"resolvent matrix I + lam (I - W) is singular in float64 (lam={self.lam})"
                     ) from exc
                 form = M, self.lam * (M @ b)
-            self._forms[d] = form
-        return self._forms[d]
+            self._cache[d] = form
+        return self._cache[d]
 
     def _apply(self, x):
         if self.lam == 0.0:
@@ -590,29 +618,37 @@ class Resolvent(OperatorExpr):
             )
         base = x / (1.0 + self.lam)
         y = np.array(x, copy=True)
-        prev = math.inf
+        prev = prev_step = math.inf
         for it in itertools.count():
             y_next = base + q * self.inner._apply(y)
-            gap = np.abs(y_next - y)
-            delta = float(np.max(np.sum(gap**self.p, axis=-1) ** (1.0 / self.p)))
+            step = (np.abs(y_next - y) ** self.p).sum(axis=-1) ** (1.0 / self.p)
+            delta = float(step.max())
             y = y_next
             if it == 0:
-                scale = min(1.0, max(float(np.max(np.abs(x))), delta))
-            if delta <= self.tol * scale:
+                # per row: absolute at scale 1 and above, relative below
+                scale = np.minimum(1.0, np.maximum(np.abs(x).max(axis=-1), step))
+                thresh = self.tol * scale
+                thresh_lo, thresh_hi = float(thresh.min()), float(thresh.max())
+            if delta <= thresh_lo or (delta <= thresh_hi and (step <= thresh).all()):
                 return y
             if not delta < prev:
-                # rounding stalls a contraction's steps near ulp(||y||)
-                if math.isfinite(delta) and delta <= self.tol * max(
-                    1.0, float(np.max(lp_norm(y, self.p)))
-                ):
+                # rounding stalls a contraction's steps near ulp(||y||): a
+                # stalled row within its floor is done
+                stalled = ~(step < prev_step)
+                floor = self.tol * np.maximum(scale, lp_norm(y, self.p))
+                if np.any(stalled & ~(step <= floor)):
+                    break
+                if np.all(stalled | (step <= thresh)):
                     return y
-                break
             if it == 0:
-                # tol * (scale/delta) stays normal where tol * scale may underflow
-                budget = max(int(math.log(self.tol * (scale / delta)) / math.log(q)) + 20, 20)
+                # counted for the slowest row; tol * (scale/step) stays
+                # normal where tol * scale may underflow
+                moving = step > thresh
+                ratio = float((scale[moving] / step[moving]).min())
+                budget = max(int(math.log(self.tol * ratio) / math.log(q)) + 20, 20)
             elif it > budget:
                 break
-            prev = delta
+            prev, prev_step = delta, step
         raise ResolventDiverged(
             f"resolvent iteration did not contract (lam={self.lam}, step {delta:.3e} "
             f"after {it + 1} iterations); is the inner operator nonexpansive?"

@@ -229,12 +229,19 @@ class TestResolvent:
         assert out[0] == pytest.approx(1e-20 / 3.0, rel=1e-15, abs=0.0)
         assert out[1] == 0.0
 
-    def test_tiny_input_nonlinear_inner(self):
+    @pytest.mark.parametrize("x", [
+        [1e-20, 0.0],
+        # the second row is fixed after two steps; the first must still stop
+        # at its own threshold, not at one scaled by the batch
+        [[1e-20, 0.0], [-5.0, 0.0]],
+    ])
+    def test_tiny_input_nonlinear_inner(self, x):
         # the first step, 1e-20, is far below tol: the stop must be relative
         F = compose([Scale(-1.0), Activation("relu")], SP3)
-        out = resolvent_apply(F, 1.0, (1e-20, 0.0), SP3)
-        assert out[0] == pytest.approx(1e-20 / 3.0, rel=1e-10, abs=0.0)
-        assert out[1] == 0.0
+        x = np.array(x)
+        out = resolvent_apply(F, 1.0, x, SP3)
+        # y + (y + relu(y)) = x
+        assert out == pytest.approx(np.where(x > 0.0, x / 3.0, x / 2.0), rel=1e-10, abs=0.0)
 
     def test_iteration_cost_scales_with_contraction_factor(self):
         # residual after k steps decays like (lam/(1+lam))^k
@@ -329,11 +336,31 @@ class TestResolventClosedForm:
         scale = max(np.max(np.abs(t)) for t in (x, (1.0 + lam) * y, lam * Fy))
         assert np.max(np.abs(y + lam * (y - Fy) - x)) <= 1e-14 * scale
 
-    def test_offset_near_overflow(self):
-        # the probe's power-of-two scale stops at 2^1023 instead of overflowing
-        F = Affine(0.5 * np.eye(2), np.array([1e308, 0.0]), p=2.0)
-        y = Resolvent(F, 0.5, p=2.0)(np.array([1.0, 2.0]))
-        assert y == pytest.approx([(1.0 + 5e307) / 1.25, 1.6], rel=1e-15, abs=0.0)
+    def test_cancelling_inner_offsets(self):
+        # F = W2 (y + c) with W2 c = 0: a probe of the whole tree reads W2 at
+        # the scale of c, where 1e16 + 1 rounds to 1e16, and loses it
+        W2 = np.full((2, 2), 0.5)
+        F = Compose((Affine(W2, None, p=2.0), Affine(np.eye(2), np.array([1e16, -1e16]), p=2.0)))
+        assert np.array_equal(F.affine_form(2)[0], W2)
+        y = Resolvent(F, 1.0, p=2.0)(np.array([1.0, 0.0]))
+        assert y == pytest.approx([0.75, 0.25], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("W, p, lam, expect", [
+        (0.5 * np.eye(2), 2.0, 0.5, [(1.0 + 5e307) / 1.25, 1.6]),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), 3.0, 1.0, [1e308 / 1.5, 1e308 / 3.0]),
+    ])
+    def test_offset_near_overflow(self, W, p, lam, expect):
+        F = Affine(W, np.array([1e308, 0.0]), p=p)
+        y = Resolvent(F, lam, p=p)(np.array([1.0, 2.0]))
+        assert y == pytest.approx(expect, rel=1e-15, abs=0.0)
+
+    def test_probe_offset_near_overflow(self):
+        # the inner resolvent's offset c exceeds 2^1023: the probe's
+        # power-of-two scale stops there instead of overflowing
+        c = 1.7e308 * (1000.0 / 1001.0)
+        inner = Resolvent(Affine(np.zeros((2, 2)), np.array([1.7e308, 0.0]), p=2.0), 1000.0, p=2.0)
+        y = Resolvent(inner, 1.0, p=2.0)(np.array([1.0, 2.0]))
+        assert y == pytest.approx([c * (1001.0 / 2001.0), 2002.0 / 2001.0], rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("name", ["tanh", "relu"])
     def test_nonlinear_inner_iterates(self, inv_calls, name):
