@@ -13,6 +13,7 @@ so tolerances are scale-free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,12 @@ class Sampler:
     scale: float = 1.0
     constraint: object | None = None
     min_norm: float | None = None
+
+    def __post_init__(self):
+        for name in ("low", "high", "scale", "min_norm"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"sampler {name} must be finite, got {value}")
 
     def draw(self, n: int, p: float = 2.0) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -122,6 +129,8 @@ def _firm_terms(x, y, tx, ty, sp: SpaceParams):
 
 
 def _firm_slack(terms, alpha: float, sp: SpaceParams):
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     sep, disp, out = terms
     coeff = 0.5 * sp.c_r * (1.0 - alpha) / alpha
     return sep - coeff * disp - out
@@ -132,8 +141,6 @@ def firm_residual(T, x, y, alpha: float, sp: SpaceParams):
 
     ||x-y||^r - (c_r/2)((1-alpha)/alpha)||(Id-T)x - (Id-T)y||^r - ||Tx-Ty||^r.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return _firm_slack(_firm_terms(x, y, T(x), T(y), sp), alpha, sp)
@@ -156,6 +163,13 @@ def _min_alpha_estimate(gain: np.ndarray, disp: np.ndarray, c_r: float):
     if np.any(beta <= 0.0):
         return None, degenerate
     return float(np.max(1.0 / (1.0 + beta))), degenerate
+
+
+def _check_run(n: int, tol: float) -> None:
+    if n < 1:
+        raise ValueError("need at least one sample")
+    if not math.isfinite(tol):
+        raise ValueError(f"certification tol must be finite, got {tol}")
 
 
 def _worst_pair_report(prop: str, x, y, rel: np.ndarray, tol: float, **fields) -> CertReport:
@@ -195,8 +209,7 @@ def certify_alpha_firm(
 ) -> CertReport:
     """Check the firm inequality at alpha on n sampled pairs (x from the
     first sampler, y from the second); estimates the minimal certified alpha."""
-    if n < 1:
-        raise ValueError("need at least one sample")
+    _check_run(n, tol)
     d_sampler, e_sampler = samplers
     x = d_sampler.draw(n, sp.p)
     y = e_sampler.draw(n, sp.p)
@@ -218,8 +231,7 @@ def certify_quasi_alpha_firm(
     it is derived from the operator's fixed-point metadata; sampled y
     values are verified to be fixed.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
+    _check_run(n, tol)
     if fix_sampler is None:
         fixed_set = getattr(getattr(T, "meta", None), "fixed_points", None)
         if fixed_set is None:
@@ -249,8 +261,7 @@ def certify_nonexpansive(
     tol: float = DEFAULT_TOL,
 ) -> CertReport:
     """Check ||Tx - Ty|| <= ||x - y|| on sampled pairs."""
-    if n < 1:
-        raise ValueError("need at least one sample")
+    _check_run(n, tol)
     pts = sampler.draw(2 * n, p)
     x, y = pts[:n], pts[n:]
     sep = lp_norm(x - y, p)
@@ -289,8 +300,7 @@ def certify_bruck_firm(
     lists the firm constants 1/(1+w) implied by each grid point and stores
     the strongest one as ``estimated_min_alpha``.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
+    _check_run(n, tol)
     w_grid = tuple(DEFAULT_W_GRID if w_grid is None else w_grid)
     if not w_grid:
         raise ValueError("w_grid must be nonempty")

@@ -24,6 +24,7 @@ identity at t = 0.  ``semigroup_product`` composes one step node n times.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -260,8 +261,8 @@ def resolvent_apply(F: OperatorExpr, lam: float, x, sp: SpaceParams, tol: float 
 def semigroup_product(F: OperatorExpr, t: float, n: int, sp: SpaceParams) -> OperatorExpr:
     """n-fold product of resolvents at parameter t/n; firm constant
     n^(r-1)/(n^(r-1)+1)."""
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"semigroup t must be finite and >= 0, got {t}")
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -298,6 +299,8 @@ def semigroup_limit_estimate(
     errors against it and the semigroup axioms (identity at t -> 0,
     additivity, nonexpansiveness) are reported as well.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"semigroup tol must be finite, got {tol}")
     schedule = tuple(int(n) for n in n_schedule)
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("n_schedule must be nonempty and strictly increasing")

@@ -29,12 +29,12 @@ states the rule).
 Nodes that are affine on their input (the affine, scale, truncation, swap
 and identity atoms; averages, compositions and convex combinations of
 affine nodes; closed-form resolvents) set ``affine``.  ``affine_form`` then
-gives their matrix and offset: the affine atom returns its stored pair,
-the other atoms' pairs are read off the map itself, and the combinators
-multiply and add their operands' pairs.  ``Resolvent`` uses that form to
-replace its iteration by one cached linear solve.  Every other resolvent
-iterates, and its stop rule is absolute on rows above norm 1 and relative
-below it, row by row.
+reads their matrix and offset off the map itself: the offset is T(0), and
+the matrix is the same tree evaluated with every offset dropped
+(``_apply(x, linear=True)``), so no offset ever mixes into it.
+``Resolvent`` uses that form to replace its iteration by one cached linear
+solve.  Every other resolvent iterates, and its stop rule is absolute on
+rows above norm 1 and relative below it, row by row.
 """
 
 from __future__ import annotations
@@ -133,26 +133,19 @@ class OperatorExpr:
     affine: bool = False
     dims: tuple[int, int | None] = (1, None)
 
-    def _apply(self, x: np.ndarray) -> np.ndarray:
+    def _apply(self, x: np.ndarray, linear: bool = False) -> np.ndarray:
+        """The map on (..., d) arrays; with ``linear`` (true only on affine
+        nodes) its linear part, every offset in the tree dropped."""
         raise NotImplementedError
 
     def affine_form(self, d: int) -> tuple[np.ndarray, np.ndarray] | None:
         """(W, b) with self(x) = W x + b on dimension d, or None when the
-        node is not known to be affine."""
-        return self._form(d) if self.affine else None
-
-    def _form(self, d):
-        """An atom's (W, b), read off ``_apply``: b = T(0) and
-        W e_i = (T(s e_i) - b)/s, with s the least power of two
-        >= max(1, max|b|).  Scaling by a power of two is exact, and with
-        s >= |b| subtracting the atom's own offset costs W at most about
-        eps; for b = 0 the matrix is exact.  Combinators build theirs from
-        their operands' forms instead: an offset inside a tree that later
-        cancels would swamp W in a probe of the whole tree."""
-        b = self._apply(np.zeros(d))
-        b_max = min(float(np.max(np.abs(b))), 2.0**1023)  # keeps s finite
-        s = 2.0 ** math.ceil(math.log2(max(1.0, b_max)))
-        return ((self._apply(s * np.eye(d)) - b) / s).T, b
+        node is not known to be affine.  W is the map with its offsets
+        dropped, applied to the unit vectors, and b = self(0); no offset
+        enters W, whatever its size or where it sits in the tree."""
+        if not self.affine:
+            return None
+        return self._apply(np.eye(d), linear=True).T, self._apply(np.zeros(d))
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -205,11 +198,8 @@ class Affine(OperatorExpr):
             proven_nonexpansive=bool(interpolation_norm_bound(W, self.p) <= 1.0)
         )
 
-    def _apply(self, x):
-        return x @ self.W.T + self.b
-
-    def _form(self, d):
-        return self.W, self.b
+    def _apply(self, x, linear=False):
+        return x @ self.W.T if linear else x @ self.W.T + self.b
 
 
 def interpolation_norm_bound(W: np.ndarray, p: float) -> float:
@@ -237,7 +227,7 @@ class Scale(OperatorExpr):
             fixed_points=WHOLE_SPACE if self.factor == 1.0 else ORIGIN,
         )
 
-    def _apply(self, x):
+    def _apply(self, x, linear=False):
         return self.factor * x
 
 
@@ -274,7 +264,7 @@ class Truncate(OperatorExpr):
             fixed_points=fixed,
         )
 
-    def _apply(self, x):
+    def _apply(self, x, linear=False):
         out = np.array(x, copy=True)
         out[..., self.keep :] = 0.0
         return out
@@ -298,7 +288,7 @@ class SwapIsometry(OperatorExpr):
             fixed_points=AffineEqual(groups=((self.i, self.j),)),
         )
 
-    def _apply(self, x):
+    def _apply(self, x, linear=False):
         out = np.array(x, copy=True)
         out[..., [self.i, self.j]] = x[..., [self.j, self.i]]
         return out
@@ -340,7 +330,7 @@ class Activation(OperatorExpr):
             fixed_points=_ACTIVATION_FIX[self.name],
         )
 
-    def _apply(self, x):
+    def _apply(self, x, linear=False):
         return _ACTIVATIONS[self.name](x)
 
 
@@ -371,12 +361,8 @@ class Averaged(OperatorExpr):
             fixed_points=self.inner.meta.fixed_points,
         )
 
-    def _apply(self, x):
-        return (1.0 - self.alpha) * x + self.alpha * self.inner._apply(x)
-
-    def _form(self, d):
-        W, b = self.inner._form(d)
-        return (1.0 - self.alpha) * np.eye(d) + self.alpha * W, self.alpha * b
+    def _apply(self, x, linear=False):
+        return (1.0 - self.alpha) * x + self.alpha * self.inner._apply(x, linear)
 
 
 def averaged(R: OperatorExpr, alpha: float) -> Averaged:
@@ -466,17 +452,10 @@ class Compose(OperatorExpr):
             avg = 1.0 - math.prod(1.0 - a for a in avgs)
         self.meta = _combined_meta(ops, firm, avg, [op.meta.fixed_points for op in ops])
 
-    def _apply(self, x):
+    def _apply(self, x, linear=False):
         for op in reversed(self.ops):
-            x = op._apply(x)
+            x = op._apply(x, linear)
         return x
-
-    def _form(self, d):
-        W, b = np.eye(d), np.zeros(d)
-        for op in reversed(self.ops):
-            W_op, b_op = op._form(d)
-            W, b = W_op @ W, W_op @ b + b_op
-        return W, b
 
 
 @dataclass(eq=False)
@@ -496,7 +475,7 @@ class ConvexCombo(OperatorExpr):
         w = np.asarray(self.weights, dtype=float)
         if not ops or w.shape != (len(ops),):
             raise ValueError("need one weight per operand")
-        if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
+        if not (np.all(w >= 0.0) and abs(float(w.sum()) - 1.0) <= WEIGHT_TOL):
             raise ValueError("weights must be nonnegative and sum to 1")
         self.ops = ops
         self.weights = tuple(float(v) for v in w)
@@ -511,18 +490,11 @@ class ConvexCombo(OperatorExpr):
         active = [op.meta.fixed_points for op, w in zip(ops, self.weights) if w > 0.0]
         self.meta = _combined_meta(ops, firm, avg, active)
 
-    def _apply(self, x):
-        out = self.weights[0] * self.ops[0]._apply(x)
+    def _apply(self, x, linear=False):
+        out = self.weights[0] * self.ops[0]._apply(x, linear)
         for w, op in zip(self.weights[1:], self.ops[1:]):
-            out = out + w * op._apply(x)
+            out = out + w * op._apply(x, linear)
         return out
-
-    def _form(self, d):
-        forms = [op._form(d) for op in self.ops]
-        return (
-            sum(w * W for w, (W, _) in zip(self.weights, forms)),
-            sum(w * b for w, (_, b) in zip(self.weights, forms)),
-        )
 
 
 @dataclass(eq=False)
@@ -563,9 +535,11 @@ class Resolvent(OperatorExpr):
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.lam = float(self.lam)
-        if self.lam < 0.0:
-            raise ValueError("resolvent parameter lam must be >= 0")
+        self.lam, self.tol = float(self.lam), float(self.tol)
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"resolvent parameter lam must be finite and >= 0, got {self.lam}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"resolvent tol must be finite and > 0, got {self.tol}")
         self.dims = self.inner.dims
         proven = self.inner.meta.proven_nonexpansive
         if not proven:
@@ -602,12 +576,12 @@ class Resolvent(OperatorExpr):
             self._cache[d] = form
         return self._cache[d]
 
-    def _apply(self, x):
+    def _apply(self, x, linear=False):
         if self.lam == 0.0:
             return np.array(x, copy=True)
         form = self._closed_form(x.shape[-1])
         if form is not None:
-            y = x @ form[0].T + form[1]
+            y = x @ form[0].T if linear else x @ form[0].T + form[1]
             if not np.isfinite(y).all():
                 raise ResolventDiverged(f"resolvent closed form is not finite (lam={self.lam})")
             return y

@@ -82,7 +82,8 @@ class AffineEqual:
     fixed: tuple = ()
 
     def __post_init__(self):
-        groups = tuple(tuple(sorted(int(i) for i in g)) for g in self.groups)
+        # sorted within and across groups: one set, one descriptor
+        groups = tuple(sorted(tuple(sorted(int(i) for i in g)) for g in self.groups))
         fixed = tuple(sorted((int(i), float(v)) for i, v in self.fixed))
         seen = set()
         for g in groups:

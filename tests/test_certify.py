@@ -59,9 +59,32 @@ class TestFirmResidual:
             firm_residual(identity(), np.ones(2), np.zeros(2), 1.0, SP2)
 
 
+class TestSampler:
+    @pytest.mark.parametrize("field", ["low", "high", "scale", "min_norm"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"sampler {field} must be finite"):
+            Sampler(seed=0, dim=2, **{field: value})
+
+
 class TestCertifyAlphaFirm:
     def samplers(self, dim, seed=1):
         return (Sampler(seed=seed, dim=dim), Sampler(seed=seed + 1, dim=dim))
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        # an isometry satisfies the firm inequality at alpha >= 1 trivially;
+        # such an alpha is no firm constant and must not certify
+        T, x_sampler = SwapIsometry(0, 1), Sampler(seed=3, dim=3)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            certify_alpha_firm(T, alpha, SP3, self.samplers(3), n=100)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            certify_quasi_alpha_firm(T, alpha, SP3, None, x_sampler, n=100)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            certify_alpha_firm(identity(), 0.5, SP2, self.samplers(2), n=100, tol=tol)
 
     def test_truncation_estimates_exact_constant(self):
         T = truncation_operator(2, SP3, 6)

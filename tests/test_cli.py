@@ -127,6 +127,33 @@ class TestCertifyCommand:
         assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "'w_grid'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prop", ["alpha_firm", "quasi_alpha_firm"])
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, float("nan")])
+    def test_alpha_outside_unit_interval_exit1(self, tmp_path, capsys, prop, alpha):
+        # a swap is an isometry: no alpha in (0, 1) holds, and none outside
+        # it is a firm constant at all
+        doc = certify_config(alpha)
+        doc.update(operator={"kind": "swap", "i": 0, "j": 1}, property=prop, samples=200)
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "alpha must lie in (0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tol_exit1(self, tmp_path, capsys, tol):
+        doc = certify_config()
+        doc["tol"] = tol
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "tol must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("low", float("nan")), ("high", float("inf"))])
+    def test_non_finite_sampler_bound_exit1(self, tmp_path, capsys, field, value):
+        doc = certify_config()
+        doc["sampler"] = {field: value}
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert f"sampler {field} must be finite" in capsys.readouterr().err
+
 
 class TestIterateCommand:
     def test_projection_instance(self, tmp_path):
@@ -210,6 +237,21 @@ class TestIterateCommand:
         summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
         assert summary["final_step_norm"] is None
 
+    def test_nan_weight_exit1(self, tmp_path, capsys):
+        doc = {
+            "p": 3.0,
+            "dim": 2,
+            "operator": {
+                "kind": "convex_combo",
+                "ops": [{"kind": "scale", "factor": 0.5}, {"kind": "swap", "i": 0, "j": 1}],
+                "weights": [float("nan"), 1.0],
+            },
+            "x0": [1.0, 0.0],
+        }
+        cfg = write_config(tmp_path, "i.json", doc)
+        assert main(["iterate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "weights must be nonnegative" in capsys.readouterr().err
+
     def test_affine_without_matrix_exit1_names_key(self, tmp_path, capsys):
         doc = {"p": 2.0, "dim": 2, "operator": {"kind": "affine"}, "x0": [1.0, 0.0]}
         cfg = write_config(tmp_path, "i.json", doc)
@@ -275,9 +317,29 @@ class TestResolventCommand:
         assert main(["resolvent", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("lambdas", [float("nan")], "lam must be finite"),
+        ("lambdas", [float("inf")], "lam must be finite"),
+        ("tol", 0.0, "tol must be finite and > 0"),
+        ("tol", -1e-12, "tol must be finite and > 0"),
+        ("tol", float("nan"), "tol must be finite and > 0"),
+    ])
+    def test_bad_number_exit1_names_field(self, tmp_path, capsys, key, value, message):
+        doc = resolvent_config({"kind": "activation", "name": "tanh"}, [1.0], [3.0, 0.0])
+        doc[key] = value
+        cfg = write_config(tmp_path, "r.json", doc)
+        assert main(["resolvent", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_nan_lam_in_operator_exit1(self, tmp_path, capsys):
+        operator = {"kind": "resolvent", "lam": float("nan"), "inner": {"kind": "scale", "factor": -1.0}}
+        cfg = write_config(tmp_path, "r.json", resolvent_config(operator, [1.0], [3.0, 0.0]))
+        assert main(["resolvent", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "lam must be finite" in capsys.readouterr().err
+
 
 class TestSemigroupCommand:
-    def config(self, tmp_path, schedule=(8, 16, 32, 64, 128, 256, 512, 1024), t=1.0):
+    def config(self, tmp_path, schedule=(8, 16, 32, 64, 128, 256, 512, 1024), t=1.0, **extra):
         doc = {
             "p": 2.0,
             "dim": 2,
@@ -285,7 +347,7 @@ class TestSemigroupCommand:
             "t": t,
             "schedule": list(schedule),
             "x": [1.0, 0.0],
-        }
+        } | extra
         return write_config(tmp_path, "s.json", doc)
 
     def test_error_halving(self, tmp_path):
@@ -324,6 +386,17 @@ class TestSemigroupCommand:
     def test_empty_schedule_exit1(self, tmp_path, t):
         cfg = self.config(tmp_path, schedule=(), t=t)
         assert main(["semigroup", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_t_exit1(self, tmp_path, capsys, t):
+        cfg = self.config(tmp_path, t=t)
+        assert main(["semigroup", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "semigroup t must be finite" in capsys.readouterr().err
+
+    def test_nan_tol_exit1(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, tol=float("nan"))
+        assert main(["semigroup", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "semigroup tol must be finite" in capsys.readouterr().err
 
 
 class TestFeasibilityCommand:

@@ -166,6 +166,17 @@ class TestAsymptoticRegularity:
 
 
 class TestResolvent:
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(lam=float("nan")), "lam must be finite"),
+        (dict(lam=float("inf")), "lam must be finite"),
+        (dict(lam=-1.0), "lam must be finite"),
+        (dict(lam=1.0, tol=0.0), "tol must be finite and > 0"),
+        (dict(lam=1.0, tol=float("nan")), "tol must be finite and > 0"),
+    ])
+    def test_rejects_bad_parameters(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Resolvent(Scale(-1.0), p=2.0, **kwargs)
+
     def test_negation_closed_form(self):
         F = Scale(-1.0)
         x = np.array([3.0, 0.0])
@@ -355,12 +366,21 @@ class TestResolventClosedForm:
         assert y == pytest.approx(expect, rel=1e-15, abs=0.0)
 
     def test_probe_offset_near_overflow(self):
-        # the inner resolvent's offset c exceeds 2^1023: the probe's
-        # power-of-two scale stops there instead of overflowing
+        # the inner resolvent's offset c is near the float64 limit: its
+        # matrix is read with the offset dropped, so nothing overflows
         c = 1.7e308 * (1000.0 / 1001.0)
         inner = Resolvent(Affine(np.zeros((2, 2)), np.array([1.7e308, 0.0]), p=2.0), 1000.0, p=2.0)
         y = Resolvent(inner, 1.0, p=2.0)(np.array([1.0, 2.0]))
         assert y == pytest.approx([c * (1001.0 / 2001.0), 2002.0 / 2001.0], rel=1e-14, abs=0.0)
+
+    def test_resolvent_operand_form_is_its_closed_form(self):
+        # A = I + lam (I - 1e-8 P) has inverse entries of order 1e-16, far
+        # below ulp(1e6): reading W with the offset in place loses them
+        P = np.roll(np.eye(self.D), 1, axis=1)
+        R = Resolvent(Affine(1e-8 * P, np.full(self.D, 1e6), p=3.0), 2.0, p=3.0)
+        W, b = R.affine_form(self.D)
+        M, c = R._closed_form(self.D)
+        assert np.array_equal(W, M) and np.array_equal(b, c)
 
     @pytest.mark.parametrize("name", ["tanh", "relu"])
     def test_nonlinear_inner_iterates(self, inv_calls, name):
@@ -400,6 +420,11 @@ class TestResolventClosedForm:
 
 
 class TestSemigroup:
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0])
+    def test_rejects_bad_t(self, t):
+        with pytest.raises(ValueError, match="semigroup t must be finite"):
+            semigroup_product(Scale(-1.0), t, 4, SP2)
+
     def test_single_factor(self):
         T = semigroup_product(Scale(-1.0), 1.0, 1, SP2)
         assert np.allclose(T(np.array([3.0, 0.0])), [1.0, 0.0], atol=1e-11)

@@ -227,6 +227,8 @@ class TestConvexCombination:
             convex_combination(ops, [0.6, 0.6], SP2)
         with pytest.raises(ValueError):
             convex_combination(ops, [1.2, -0.2], SP2)
+        with pytest.raises(ValueError, match="weights"):
+            convex_combination(ops, [float("nan"), 1.0], SP2)
 
 
 class TestTruncation:
@@ -416,7 +418,8 @@ MERGE_CASES = {
         ],
         AffineEqual(groups=((0, 1, 5), (2, 3, 6)), fixed=((4, 0.5),)),
     ),
-    # two copies go through the merge, which orders groups by their largest index
+    # two copies go through the merge; the constructor sorts the groups of
+    # both the operand and the merge's result
     "repeated_operand": ([_TWO_GROUPS, _TWO_GROUPS], AffineEqual(groups=((0, 1), (2, 3)))),
 }
 
@@ -437,6 +440,11 @@ class TestFixedPointMerging:
             assert (out.groups, out.fixed) == (expected.groups, expected.fixed)
         else:
             assert out is expected
+
+    def test_group_order_is_canonical(self):
+        S = AffineEqual(groups=((2, 3), (0, 1)))
+        assert S == AffineEqual(groups=((0, 1), (2, 3)))
+        assert merge_fixed_point_sets([S]).groups == merge_fixed_point_sets([S, S]).groups
 
     def test_repeated_operand_is_examined_once(self, monkeypatch):
         # a semigroup product of n steps intersects n copies of one fixed set
