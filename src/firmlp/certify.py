@@ -64,6 +64,8 @@ class Sampler:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"sampler {name} must be finite, got {value}")
+        if self.low > self.high:
+            raise ValueError(f"sampler low must not exceed high, got {self.low} > {self.high}")
 
     def draw(self, n: int, p: float = 2.0) -> np.ndarray:
         rng = np.random.default_rng(self.seed)

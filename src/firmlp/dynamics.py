@@ -58,8 +58,8 @@ class StopRule:
     max_iter: int = 100_000
 
     def __post_init__(self):
-        if not self.step_tol > 0:
-            raise ValueError("step_tol must be positive")
+        if not (math.isfinite(self.step_tol) and self.step_tol > 0):
+            raise ValueError(f"step_tol must be finite and > 0, got {self.step_tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -158,7 +158,8 @@ def picard_iterate(
     x = np.asarray(x0, dtype=float).copy()
     if x.ndim != 1:
         raise ValueError("x0 must be a single vector")
-    guard = OVERFLOW_FACTOR * (1.0 + float(lp_norm(x, p)))
+    bound = float(lp_norm(x, p))  # ||x_n|| <= ||x_0|| + sum of steps
+    guard = OVERFLOW_FACTOR * (1.0 + bound)
     iterates = [x]
     steps: list[float] = []
     while True:
@@ -168,7 +169,10 @@ def picard_iterate(
             if step < stop.step_tol:
                 reason = "step_tol"
                 break
-            escaped = float(lp_norm(x_next, p)) > guard
+            bound += step
+            if bound > guard:  # only then is the exact norm needed
+                bound = float(lp_norm(x_next, p))
+            escaped = bound > guard
         except ValueError:  # lp_norm rejects the Inf or NaN of an overflowed iterate
             step, escaped = np.inf, True
         if escaped:

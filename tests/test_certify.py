@@ -66,6 +66,11 @@ class TestSampler:
         with pytest.raises(ValueError, match=f"sampler {field} must be finite"):
             Sampler(seed=0, dim=2, **{field: value})
 
+    def test_rejects_inverted_bounds(self):
+        with pytest.raises(ValueError, match="sampler low must not exceed high"):
+            Sampler(seed=0, dim=2, low=1.0, high=-1.0)
+        assert Sampler(seed=0, dim=2, low=1.0, high=1.0).draw(3).tolist() == [[1.0, 1.0]] * 3
+
 
 class TestCertifyAlphaFirm:
     def samplers(self, dim, seed=1):

@@ -154,6 +154,13 @@ class TestCertifyCommand:
         assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert f"sampler {field} must be finite" in capsys.readouterr().err
 
+    def test_inverted_sampler_bounds_exit1(self, tmp_path, capsys):
+        doc = certify_config()
+        doc["sampler"] = {"low": 5.0, "high": -5.0}
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "sampler low must not exceed high" in capsys.readouterr().err
+
 
 class TestIterateCommand:
     def test_projection_instance(self, tmp_path):
@@ -236,6 +243,19 @@ class TestIterateCommand:
 
         summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
         assert summary["final_step_norm"] is None
+
+    @pytest.mark.parametrize("step_tol", [float("inf"), float("nan"), 0.0])
+    def test_bad_step_tol_exit1_names_field(self, tmp_path, capsys, step_tol):
+        doc = {
+            "p": 2.0,
+            "dim": 2,
+            "operator": {"kind": "scale", "factor": 0.5},
+            "x0": [1.0, 0.0],
+            "stop": {"step_tol": step_tol},
+        }
+        cfg = write_config(tmp_path, "i.json", doc)
+        assert main(["iterate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "step_tol must be finite and > 0" in capsys.readouterr().err
 
     def test_nan_weight_exit1(self, tmp_path, capsys):
         doc = {

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from firmlp import dynamics
 from firmlp.dynamics import (
     DivergenceError,
     MonitorConfig,
@@ -84,6 +85,27 @@ class TestPicard:
         partial = err.value.trajectory
         assert partial.stop_reason == "divergence"
         assert len(partial.iterates) >= 2
+
+    @pytest.mark.parametrize("factor", [2.0, -2.0])
+    def test_divergence_verdict_is_exact(self, factor):
+        # ||x_n|| = 2^n first exceeds the guard 1e12 * (1 + ||x_0||) at n = 41;
+        # the running bound ||x_0|| + sum of steps overshoots it for factor -2
+        with pytest.raises(DivergenceError) as err:
+            picard_iterate(Scale(factor), np.array([1.0, 0.0]), StopRule(), MonitorConfig(SP2))
+        assert len(err.value.trajectory.step_norms) == 40
+
+    def test_one_norm_per_step(self, monkeypatch):
+        calls = 0
+
+        def counting_norm(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return lp_norm(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "lp_norm", counting_norm)
+        traj = picard_iterate(Scale(0.5), np.array([1.0, 0.0]), StopRule(), MonitorConfig(SP2))
+        # the guard's norm of x_0, then one step norm per application of T
+        assert calls == 1 + len(traj.step_norms) + 1
 
     def test_monitors_required(self):
         with pytest.raises(ValueError, match="monitors"):

@@ -40,6 +40,58 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm([1.0, math.nan], 2.0)
 
+    @pytest.mark.parametrize("x, p, expected", [
+        ([1e-200, 0.0], 4.0, 1e-200),  # the power sum underflows to 0
+        ([1e200, 1.0], 4.0, 1e200),  # the power sum overflows
+        ([10.0, 0.0], 400.0, 10.0),  # a moderate entry overflows at large p
+        ([1e79, 0.0], 1.5, 1e79),  # the root's rounded 1/p costs 1e-14 at this scale
+    ])
+    def test_edge_values(self, x, p, expected):
+        assert lp_norm(x, p) == expected
+        batch = np.array([[3.0, 4.0], x, [0.0, 0.0], x])
+        out = lp_norm(batch, p)
+        assert out.tolist() == [lp_norm([3.0, 4.0], p), expected, 0.0, expected]
+        assert lp_norm(batch.T, p, axis=0).tolist() == out.tolist()
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 64.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_row_in_batch(self, p, bad):
+        batch = np.array([[1.0, 2.0], [bad, 0.0], [3.0, 4.0]])
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            lp_norm(batch, p)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            lp_norm(batch[1], p)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            lp_norm([[1e200, 1e200], [bad, -bad]], p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=1e-3, max_value=10.0),
+                st.floats(min_value=-10.0, max_value=-1e-3),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.floats(min_value=1.0, max_value=10.0),
+        st.integers(min_value=-150, max_value=149),
+        st.sampled_from([1.01, 1.5, 2.0, 3.0, 64.0]),
+    )
+    def test_exact_across_scales(self, xs, mantissa, exponent, p):
+        x = np.array(xs)
+        c = mantissa * 10.0**exponent
+        y = c * x
+        m = np.max(np.abs(y))
+        reference = m * np.sum((np.abs(y) / m) ** p) ** (1.0 / p) if m > 0 else 0.0
+        single = lp_norm(y, p)
+        batched = lp_norm(np.stack([x, y, -y]), p)
+        for value in (single, batched[1], batched[2]):
+            assert (value == 0.0) == (not np.any(y))
+            assert value == pytest.approx(reference, rel=1e-14, abs=0.0)
+            assert value == pytest.approx(c * batched[0], rel=1e-14, abs=0.0)
+
     @given(coords, st.floats(min_value=-5, max_value=5, allow_nan=False))
     def test_absolute_homogeneity(self, xs, lam):
         x = np.array(xs)
