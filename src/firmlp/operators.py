@@ -33,13 +33,12 @@ reads their matrix and offset off the map itself: the offset is T(0), and
 the matrix is the same tree evaluated with every offset dropped
 (``_apply(x, linear=True)``), so no offset ever mixes into it.
 ``Resolvent`` uses that form to replace its iteration by one cached linear
-solve.  Every other resolvent iterates, and its stop rule is absolute on
-rows above norm 1 and relative below it, row by row.
+solve.  Every other resolvent iterates, and its stop rule is relative to
+each row's own scale, so it holds for inputs of any size.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -56,7 +55,7 @@ from .projections import (
     json_value,
     merge_fixed_point_sets,
 )
-from .space import SpaceParams, lp_norm
+from .space import SpaceParams
 
 __all__ = [
     "DimensionMismatch",
@@ -94,7 +93,7 @@ class DimensionMismatch(ValueError):
 
 
 class ResolventDiverged(RuntimeError):
-    """Raised when the resolvent contraction fails to converge in budget."""
+    """Raised when a resolvent's iteration or closed form gives no finite value."""
 
 
 @dataclass(frozen=True)
@@ -497,6 +496,11 @@ class ConvexCombo(OperatorExpr):
         return out
 
 
+def _bounds(v) -> tuple[float, float]:
+    """(min, max) of per-row values as floats; one row skips the reductions."""
+    return (float(v), float(v)) if v.ndim == 0 else (float(v.min()), float(v.max()))
+
+
 @dataclass(eq=False)
 class Resolvent(OperatorExpr):
     """x -> (Id + lam (Id - F))^(-1) x, the unique fixed point of
@@ -515,17 +519,16 @@ class Resolvent(OperatorExpr):
 
     Iteration: every other inner map (nonlinear, or without a certificate;
     building the node warns for the latter) runs the contraction above, with
-    factor q = lam/(1+lam) when F is nonexpansive.  Each row of a batch has
-    its own stop threshold ``tol * scale``, scale = min(1, max(max|x|,
-    delta_1)) with delta_1 its first step: absolute for rows of scale 1 and
-    above, relative below, so a row's error is about tol lam times its scale
-    whatever else is in the batch.  Evaluation stops once every row's step
-    is within its threshold or, when the largest step stops shrinking, has
-    stopped shrinking within the rounding floor ``tol * max(scale, ||y||)``.
-    A step that stops shrinking above that floor, an exhausted geometric
-    step budget (counted for the slowest row from delta_1 down to its
-    threshold), or a lam so large that q rounds to 1 raises
-    ``ResolventDiverged``.
+    factor q = lam/(1+lam) when F is nonexpansive.  A step is measured by
+    its largest entry, exact at every scale.  Each row of a batch is done
+    when its step is within ``tol * scale / d^(1/p)``, scale = max(max|x|,
+    delta_1, max|y|) with delta_1 its first step: as ||v||_p <= d^(1/p)
+    max|v|, its lp step is then within tol times its scale and its error
+    about tol lam times its scale, whatever else is in the batch.  A
+    non-finite iterate, a step above d^(1/p) delta_1 and the threshold (no
+    contraction takes one), an exhausted geometric budget (from d^(1/p)
+    delta_1 down to the threshold), or a lam so large that q rounds to 1
+    raises ``ResolventDiverged``; so may a tol below rounding (about 1e-15).
     """
 
     inner: OperatorExpr
@@ -590,39 +593,35 @@ class Resolvent(OperatorExpr):
             raise ResolventDiverged(
                 f"lam/(1+lam) rounds to 1 (lam={self.lam}): the contraction iteration cannot converge"
             )
+        # max|v| <= ||v||_p <= root_d max|v|; the lp steps of a
+        # q-contraction shrink by q from at most root_d scale
+        root_d = x.shape[-1] ** (1.0 / self.p)
+        tol = self.tol / root_d
+        budget = 20 + max(0, int(math.log(tol / root_d) / math.log(q)))
         base = x / (1.0 + self.lam)
-        y = np.array(x, copy=True)
-        prev = prev_step = math.inf
-        for it in itertools.count():
+        # max|y| <= max|x| + the steps: read max|y| only where that could pass
+        x_max = np.abs(x).max(axis=-1)
+        y, y_bound = x, _bounds(x_max)[1]
+        for it in range(budget):
             y_next = base + q * self.inner._apply(y)
-            step = (np.abs(y_next - y) ** self.p).sum(axis=-1) ** (1.0 / self.p)
-            delta = float(step.max())
-            y = y_next
+            step = np.abs(y_next - y).max(axis=-1)
+            delta = _bounds(step)[1]
+            y, y_bound = y_next, y_bound + delta
+            if not delta < math.inf:
+                raise ResolventDiverged(f"resolvent iterate is not finite (lam={self.lam})")
             if it == 0:
-                # per row: absolute at scale 1 and above, relative below
-                scale = np.minimum(1.0, np.maximum(np.abs(x).max(axis=-1), step))
-                thresh = self.tol * scale
-                thresh_lo, thresh_hi = float(thresh.min()), float(thresh.max())
-            if delta <= thresh_lo or (delta <= thresh_hi and (step <= thresh).all()):
+                # per row: scale without max|y|; largest step (contraction or rounding)
+                scale = np.maximum(x_max, step)
+                grow = np.maximum(root_d * step, tol * scale)
+                (lo, hi), grow_lo = _bounds(tol * scale), _bounds(grow)[0]
+            if delta <= lo:
                 return y
-            if not delta < prev:
-                # rounding stalls a contraction's steps near ulp(||y||): a
-                # stalled row within its floor is done
-                stalled = ~(step < prev_step)
-                floor = self.tol * np.maximum(scale, lp_norm(y, self.p))
-                if np.any(stalled & ~(step <= floor)):
-                    break
-                if np.all(stalled | (step <= thresh)):
-                    return y
-            if it == 0:
-                # counted for the slowest row; tol * (scale/step) stays
-                # normal where tol * scale may underflow
-                moving = step > thresh
-                ratio = float((scale[moving] / step[moving]).min())
-                budget = max(int(math.log(self.tol * ratio) / math.log(q)) + 20, 20)
-            elif it > budget:
+            if delta > grow_lo and np.any(step > grow):
                 break
-            prev, prev_step = delta, step
+            if delta <= max(hi, tol * y_bound) and np.all(
+                step <= tol * np.maximum(scale, np.abs(y).max(axis=-1))
+            ):
+                return y
         raise ResolventDiverged(
             f"resolvent iteration did not contract (lam={self.lam}, step {delta:.3e} "
             f"after {it + 1} iterations); is the inner operator nonexpansive?"

@@ -321,6 +321,24 @@ class TestResolventCommand:
         assert out["results"][0]["value"] == pytest.approx([1e6 / 3.0, 0.0], rel=1e-12, abs=1e-12)
 
 
+    def test_nonlinear_inner_large_input_exit0(self, tmp_path):
+        # F(y) = -relu(y) at x = (1e110, 0): the value is x/3
+        operator = {"kind": "compose", "ops": [
+            {"kind": "scale", "factor": -1.0}, {"kind": "activation", "name": "relu"},
+        ]}
+        cfg = write_config(tmp_path, "r.json", resolvent_config(operator, [1.0], [1e110, 0.0]))
+        assert main(["resolvent", "--config", cfg, "--out", str(tmp_path)]) == 0
+        out = json.loads((tmp_path / "resolvent.json").read_text())
+        assert out["results"][0]["value"] == pytest.approx([1e110 / 3.0, 0.0], rel=1e-10, abs=0.0)
+
+    def test_non_finite_iterate_exit3(self, tmp_path, capsys):
+        # an uncertified expansive inner overflows on its first step
+        operator = {"kind": "scale", "factor": 40.0}
+        cfg = write_config(tmp_path, "r.json", resolvent_config(operator, [9.0], [1e307, 1e307]))
+        with pytest.warns(UserWarning, match="certificate"), np.errstate(over="ignore"):
+            assert main(["resolvent", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+
     def test_huge_lam_closed_form_exit0(self, tmp_path):
         doc = resolvent_config({"kind": "scale", "factor": -1.0}, [1e17], [3.0, 0.0])
         cfg = write_config(tmp_path, "r.json", doc)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firmlp import dynamics
 from firmlp.dynamics import (
@@ -276,12 +278,76 @@ class TestResolvent:
         # y + (y + relu(y)) = x
         assert out == pytest.approx(np.where(x > 0.0, x / 3.0, x / 2.0), rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("s", [1e-150, 1e-110, 1e110, 1e150])
+    def test_nonlinear_inner_at_extreme_scales(self, s):
+        # F(y) = -relu(y): y + (y + relu(y)) = x; no step is raised to a power
+        F = compose([Scale(-1.0), Activation("relu")], SP3)
+        out = resolvent_apply(F, 1.0, np.array([s, 0.0]), SP3)
+        assert out == pytest.approx([s / 3.0, 0.0], rel=1e-10, abs=0.0)
+
+    def test_batch_rows_keep_their_own_scale(self):
+        # each row of a mixed-scale batch stops at its own threshold
+        F = compose([Scale(-1.0), Activation("relu")], SP3)
+        x = np.array([[1e-150, 0.0], [1e150, 0.0], [-5.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
+        out = resolvent_apply(F, 4.0, x, SP3)
+        for row, y in zip(x, out):
+            assert y == pytest.approx(resolvent_apply(F, 4.0, row, SP3), rel=1e-10, abs=0.0)
+        # y + 4 (y + relu(y)) = x: x/9 where positive, x/5 where not
+        assert out == pytest.approx(np.where(x > 0.0, x / 9.0, x / 5.0), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("lam", [1e2, 1e3])
+    def test_value_far_above_input_and_first_step(self, lam):
+        # F(y) = relu(y) + (1, 0) puts y* = (1 + lam, 0) far above max|x| and
+        # the first step; its rounding floor must still pass the stop rule
+        F = compose([Affine(np.eye(2), np.array([1.0, 0.0]), p=3.0), Activation("relu")], SP3)
+        out = resolvent_apply(F, lam, np.array([1.0, 0.0]), SP3)
+        assert out == pytest.approx([1.0 + lam, 0.0], rel=1e-8, abs=0.0)
+
+    def test_non_finite_iterate_raises(self):
+        with pytest.warns(UserWarning, match="certificate"):
+            R = Resolvent(Scale(40.0), 9.0, p=2.0)
+        with np.errstate(over="ignore"), pytest.raises(ResolventDiverged, match="not finite"):
+            R(np.array([1e307, 1e307]))
+
     def test_iteration_cost_scales_with_contraction_factor(self):
         # residual after k steps decays like (lam/(1+lam))^k
         F = Scale(-1.0)
         x = np.array([1.0, 2.0, 3.0])
         out = resolvent_apply(F, 10.0, x, SP3, tol=1e-12)
         assert np.allclose(out, x / 21.0, atol=1e-10)
+
+
+# positively homogeneous nonlinear inners: R(c x) = c R(x) for c > 0
+HOMOGENEOUS_INNERS = {
+    "neg_relu": lambda sp: compose([Scale(-1.0), Activation("relu")], sp),
+    "swaps_relu": lambda sp: compose([two_swap_chain(sp), Activation("relu")], sp),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=1e-3, max_value=10.0),
+            st.floats(min_value=-10.0, max_value=-1e-3),
+        ),
+        min_size=4,
+        max_size=4,
+    ),
+    st.floats(min_value=-150.0, max_value=150.0).map(lambda e: 10.0**e),
+    st.sampled_from([1.01, 1.5, 2.0, 3.0, 64.0]),
+    st.sampled_from([0.3, 1.0, 4.0]),
+    st.sampled_from(sorted(HOMOGENEOUS_INNERS)),
+)
+def test_resolvent_scale_free(xs, c, p, lam, inner):
+    R = Resolvent(HOMOGENEOUS_INNERS[inner](space_params(p)), lam, p=p)
+    x = np.array(xs)
+    ref = R(x)
+    scale = c * max(np.max(np.abs(x)), 1e-3)
+    # alone, and next to the unscaled row in one batch
+    for out in (R(c * x), R(np.stack([x, c * x]))[1]):
+        assert np.max(np.abs(out - c * ref)) <= 1e-10 * scale
 
 
 def _affine_map(sp, d):

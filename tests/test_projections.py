@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firmlp.projections import (
@@ -20,6 +20,20 @@ from firmlp.projections import (
 from firmlp.space import lp_norm, space_params
 
 PS = [1.5, 2.0, 3.0, 4.0]
+SCALE_PS = [1.01, 1.5, 2.0, 3.0, 64.0]
+
+# entries of moderate size, so c * x keeps every entry in range at each c
+coords = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(min_value=1e-3, max_value=10.0),
+        st.floats(min_value=-10.0, max_value=-1e-3),
+    ),
+    min_size=4,
+    max_size=4,
+)
+# log-uniform over 1e-150..1e150
+scales = st.floats(min_value=-150.0, max_value=150.0).map(lambda e: 10.0**e)
 
 
 def grid_refine_minimum(f, lo, hi, rounds=60, pts=33):
@@ -121,6 +135,75 @@ class TestProject:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             project(Box(0.0, 1.0), np.array([np.nan]), space_params(2.0))
+
+
+class TestScaleFree:
+    """P_{cC}(c x) = c P_C(x) for c > 0: every projection is exact at any
+    scale, relative to the scale of its input."""
+
+    @staticmethod
+    def assert_scaled(C, cC, xs, c, p):
+        x = np.array(xs)
+        sp = space_params(p)
+        ref = project(C, x, sp)
+        out = project(cC, c * x, sp)
+        scale = c * max(np.max(np.abs(x)), np.max(np.abs(ref)), 1e-3)
+        assert np.max(np.abs(out - c * ref)) <= 1e-12 * scale
+
+    @settings(max_examples=150, deadline=None)
+    @given(coords, scales, st.sampled_from(SCALE_PS))
+    def test_box(self, xs, c, p):
+        lo, up = np.array([-1.0, 0.5, -3.0, 0.0]), np.array([1.0, 2.0, -1.0, 0.0])
+        self.assert_scaled(Box(lo, up), Box(c * lo, c * up), xs, c, p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(coords, scales, st.sampled_from(SCALE_PS))
+    def test_affine_equal(self, xs, c, p):
+        C = AffineEqual(groups=((0, 1, 2),), fixed=((3, 0.5),))
+        cC = AffineEqual(groups=((0, 1, 2),), fixed=((3, c * 0.5),))
+        self.assert_scaled(C, cC, xs, c, p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(coords, scales, st.sampled_from(SCALE_PS))
+    def test_ball(self, xs, c, p):
+        center = np.array([1.0, -1.0, 0.0, 2.0])
+        self.assert_scaled(Ball(center, 1.5), Ball(c * center, c * 1.5), xs, c, p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(coords, scales, st.sampled_from(SCALE_PS))
+    def test_halfspace(self, xs, c, p):
+        normal = np.array([1.0, -2.0, 0.5, 3.0])
+        self.assert_scaled(Halfspace(normal, 1.0), Halfspace(normal, c * 1.0), xs, c, p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(coords, scales, st.sampled_from(SCALE_PS))
+    def test_halfspace_scaled_normal(self, xs, k, p):
+        # (k a, k offset) describes the same set for every k > 0
+        normal = np.array([1.0, -2.0, 0.5, 3.0])
+        x, sp = np.array(xs), space_params(p)
+        ref = project(Halfspace(normal, 1.0), x, sp)
+        out = project(Halfspace(k * normal, k * 1.0), x, sp)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * max(np.max(np.abs(x)), np.max(np.abs(ref)), 1.0)
+
+    @pytest.mark.parametrize("p", [1.01, 1.5, 3.0, 64.0])
+    @pytest.mark.parametrize("s", [1e-150, 1.0, 1e150])
+    def test_equal_coordinates_at_extreme_scales(self, p, s):
+        # sum |a - s|^p + |a - 3s|^p is symmetric about 2s
+        out = project(AffineEqual(((0, 1),)), s * np.array([1.0, 3.0, 5.0]), space_params(p))
+        assert out == pytest.approx(s * np.array([2.0, 2.0, 5.0]), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_equal_group_returns_its_value(self, p):
+        x = np.array([[0.7, 0.7, 0.7, -1.0], [1e-200, 1e-200, 1e-200, 2.0]])
+        out = project(AffineEqual(((0, 1, 2),)), x, space_params(p))
+        assert np.array_equal(out, x)
+
+    @pytest.mark.parametrize("k", [1e-150, 1e-4, 1.0, 1e3, 1e150])
+    def test_halfspace_near_one(self, k):
+        # q = 101: |a|^q of the raw normal overflows at k = 1e3 and vanishes at 1e-4
+        C = Halfspace(k * np.array([1.0, 2.0]), 0.0)
+        out = project(C, np.array([1.0, 0.0]), space_params(1.01))
+        assert out == pytest.approx([1.0, -0.5], rel=1e-12)
 
 
 class TestSetValidation:
