@@ -6,9 +6,9 @@ to its scale, together with the witnessing pair.  A pass means "no
 counterexample found at this tolerance on these samples"; it is a
 falsifier, not a proof, since the properties quantify over the whole space.
 
-Residual scales follow the package convention max(||x - y||^r, 1) (plain
-norm instead of its r-th power for the nonexpansiveness and Bruck checks),
-so tolerances are scale-free.
+A residual is the slack over ||x - y||^r (||x - y|| for nonexpansiveness
+and Bruck), 0 at x = y and with no floor, so tolerances are scale-free; the
+firm terms enter as norm ratios over ||x - y||, so no r-th power overflows.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .projections import sample_points
-from .space import SpaceParams, lp_norm, norm_pow
+from .space import SpaceParams, lp_norm
 
 __all__ = [
     "Sampler",
@@ -124,18 +124,17 @@ def report_to_json(report: CertReport) -> dict:
     return doc
 
 
-def _firm_terms(x, y, tx, ty, sp: SpaceParams):
-    """The three norm terms of the firm inequality at the pairs (x, y):
-    ||x-y||^r, ||(Id-T)x - (Id-T)y||^r and ||Tx-Ty||^r."""
-    return norm_pow(x - y, sp), norm_pow((x - tx) - (y - ty), sp), norm_pow(tx - ty, sp)
+def _firm_terms(x, y, tx, ty, p: float):
+    """The three norms of the firm inequality at the pairs (x, y):
+    ||x-y||, ||(Id-T)x - (Id-T)y|| and ||Tx-Ty||."""
+    return lp_norm(x - y, p), lp_norm((x - tx) - (y - ty), p), lp_norm(tx - ty, p)
 
 
-def _firm_slack(terms, alpha: float, sp: SpaceParams):
+def _firm_slack(sep, disp, out, alpha: float, sp: SpaceParams):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    sep, disp, out = terms
     coeff = 0.5 * sp.c_r * (1.0 - alpha) / alpha
-    return sep - coeff * disp - out
+    return sep**sp.r - coeff * disp**sp.r - out**sp.r
 
 
 def firm_residual(T, x, y, alpha: float, sp: SpaceParams):
@@ -145,7 +144,7 @@ def firm_residual(T, x, y, alpha: float, sp: SpaceParams):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return _firm_slack(_firm_terms(x, y, T(x), T(y), sp), alpha, sp)
+    return _firm_slack(*_firm_terms(x, y, T(x), T(y), sp.p), alpha, sp)
 
 
 def _min_alpha_estimate(gain: np.ndarray, disp: np.ndarray, c_r: float):
@@ -165,6 +164,11 @@ def _min_alpha_estimate(gain: np.ndarray, disp: np.ndarray, c_r: float):
     if np.any(beta <= 0.0):
         return None, degenerate
     return float(np.max(1.0 / (1.0 + beta))), degenerate
+
+
+def _separation(sep):
+    """||x - y|| as a divisor, 1 at x = y, where every difference is 0."""
+    return np.where(sep > 0.0, sep, 1.0)
 
 
 def _check_run(n: int, tol: float) -> None:
@@ -189,10 +193,12 @@ def _worst_pair_report(prop: str, x, y, rel: np.ndarray, tol: float, **fields) -
 
 
 def _firm_report(prop: str, x, y, tx, ty, alpha: float, sp: SpaceParams, tol: float):
-    terms = _firm_terms(x, y, tx, ty, sp)
-    sep, disp, out = terms
-    rel = _firm_slack(terms, alpha, sp) / np.maximum(sep, 1.0)
-    est, degenerate = _min_alpha_estimate(sep - out, disp, sp.c_r)
+    # norms of the unscaled differences (T = Id leaves exact zeros) over ||x - y||
+    terms = _firm_terms(x, y, tx, ty, sp.p)
+    s = _separation(terms[0])
+    sep, disp, out = (t / s for t in terms)
+    rel = _firm_slack(sep, disp, out, alpha, sp)
+    est, degenerate = _min_alpha_estimate(sep - out**sp.r, disp**sp.r, sp.c_r)
     return _worst_pair_report(
         prop, x, y, rel, tol,
         estimated_min_alpha=est,
@@ -250,7 +256,7 @@ def certify_quasi_alpha_firm(
     x = x_sampler.draw(n, sp.p)
     y = fix_sampler.draw(n, sp.p)
     fix_err = lp_norm(T(y) - y, sp.p)
-    if np.any(fix_err > 1e-8 * np.maximum(lp_norm(y, sp.p), 1.0)):
+    if np.any(fix_err > 1e-8 * lp_norm(y, sp.p)):
         raise ValueError("sampled y points are not fixed by T; bad fixed-point data")
     return _firm_report("quasi_alpha_firm", x, y, T(x), y, alpha, sp, tol)
 
@@ -268,7 +274,7 @@ def certify_nonexpansive(
     x, y = pts[:n], pts[n:]
     sep = lp_norm(x - y, p)
     out = lp_norm(T(x) - T(y), p)
-    rel = (sep - out) / np.maximum(sep, 1.0)
+    rel = (sep - out) / _separation(sep)
     return _worst_pair_report(
         "nonexpansive", x, y, rel, tol, estimated_min_alpha=None, details={"p": p, "tol": tol}
     )
@@ -313,7 +319,7 @@ def certify_bruck_firm(
     dxy = x - y
     dtxy = T(x) - T(y)
     phi1 = lp_norm(dtxy, sp.p)
-    scale = np.maximum(lp_norm(dxy, sp.p), 1.0)
+    scale = _separation(lp_norm(dxy, sp.p))
     rel = np.full(n, np.inf)
     k_min = np.zeros(n, dtype=int)  # grid index attaining each pair's residual
     for k, w in enumerate(w_grid):

@@ -38,10 +38,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _floats(values) -> list[float]:
     return [float(v) for v in values]
 
@@ -147,9 +143,7 @@ def _write_run(csv_path: Path, summary_path: Path, traj: dynamics.Trajectory, **
         "limit": traj.limit.tolist(),
     }
     if traj.fejer_distances is not None:
-        gaps = np.diff(traj.fejer_distances, axis=0)
-        slack = 1e-12 * np.maximum(traj.fejer_distances[0], 1.0)
-        summary["fejer_nonincreasing"] = bool(np.all(gaps <= slack[None, :]))
+        summary["fejer_nonincreasing"] = traj.fejer_nonincreasing
         summary["fejer_final_distances"] = traj.fejer_distances[-1].tolist()
     _write_json(summary_path, summary | extra)
 
@@ -187,7 +181,7 @@ def _cmd_certify(out: Path, doc: dict, sp, dim: int, T, _) -> int:
     path = json_value(doc, "report", out.joinpath, "certify_report.json")
     _write_json(path, cert.report_to_json(report))
     print(f"{report.property}: {'PASS' if report.passed else 'FAIL'} "
-          f"(worst residual {_fmt(report.worst_residual)}) -> {path}")
+          f"(worst residual {dynamics.fmt(report.worst_residual)}) -> {path}")
     return EXIT_OK if report.passed else EXIT_PROPERTY
 
 
@@ -237,9 +231,9 @@ def _cmd_semigroup(out: Path, doc: dict, sp, dim: int, F, x) -> int:
         cols = ["n", "t"] + [f"x_{i+1}" for i in range(dim)] + ["diff", "closed_form_error"]
         fh.write(",".join(cols) + "\n")
         for k, n in enumerate(est.schedule):
-            row = [str(n), _fmt(t)] + [_fmt(v) for v in est.values[k]]
-            row.append("" if k == 0 else _fmt(est.diffs[k - 1]))
-            row.append("" if errors is None else _fmt(errors[k]))
+            row = [str(n), dynamics.fmt(t)] + [dynamics.fmt(v) for v in est.values[k]]
+            row.append("" if k == 0 else dynamics.fmt(est.diffs[k - 1]))
+            row.append("" if errors is None else dynamics.fmt(errors[k]))
             fh.write(",".join(row) + "\n")
     summary = {
         "t": t,

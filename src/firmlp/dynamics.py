@@ -1,10 +1,11 @@
 """Fixed-point iteration with convergence monitors, resolvents, semigroups.
 
-``picard_iterate`` runs x_{n+1} = T x_n until the step norm drops below a
-tolerance, recording the distance to tracked fixed points (these distances
-are nonincreasing for quasi-nonexpansive maps) and optionally the metric
-projections of the iterates onto the fixed set.  In this finite truncation
-the convergence asserted by the monitors is plain norm convergence.
+``picard_iterate`` runs x_{n+1} = T x_n until a step is at most
+step_tol * max(||x_0||, first step), recording the distance to tracked fixed
+points (nonincreasing for quasi-nonexpansive maps) and optionally the
+metric projections of the iterates onto the fixed set.  Every verdict is
+relative with no absolute floor, so a homogeneous T gives the same verdicts
+from c * x_0 and c * y as from x_0 and y.
 
 ``asymptotic_regularity_report`` checks that step norms vanish and that
 they obey the telescoping bound
@@ -87,7 +88,8 @@ class Trajectory:
 
     ``step_norms[i]`` is ||iterates[i+1] - iterates[i]||; ``final_residual``
     is the displacement of the last iterate under one more application of
-    the operator (the quantity the stop rule tested).
+    the operator (the quantity the stop rule tested).  ``fejer_nonincreasing``:
+    no tracked distance grew by more than 1e-12 times its initial value.
     """
 
     iterates: np.ndarray
@@ -95,9 +97,9 @@ class Trajectory:
     final_residual: float
     converged: bool
     stop_reason: str  # "step_tol" | "max_iter" | "divergence"
-    stop: StopRule
     fejer_points: np.ndarray | None = None
     fejer_distances: np.ndarray | None = None
+    fejer_nonincreasing: bool | None = None
     fix_projections: np.ndarray | None = None
 
     @property
@@ -125,9 +127,8 @@ def _attach_monitors(traj: Trajectory, T, monitors: MonitorConfig) -> Trajectory
     if pts is not None:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         traj.fejer_points = pts
-        traj.fejer_distances = lp_norm(
-            traj.iterates[:, None, :] - pts[None, :, :], sp.p
-        )
+        dist = traj.fejer_distances = lp_norm(traj.iterates[:, None, :] - pts[None, :, :], sp.p)
+        traj.fejer_nonincreasing = bool(np.all(np.diff(dist, axis=0) <= 1e-12 * dist[0]))
     if monitors.track_fix_projections and fixed_set is not None:
         traj.fix_projections = project(fixed_set, traj.iterates, sp)
     return traj
@@ -139,13 +140,12 @@ def picard_iterate(
     stop: StopRule,
     monitors: MonitorConfig,
 ) -> Trajectory:
-    """Iterate x_{n+1} = T x_n until the step norm is below stop.step_tol
-    or max_iter is reached.
+    """Iterate x_{n+1} = T x_n until a step is at most
+    ``stop.step_tol * max(||x_0||, first step)`` or max_iter is reached.
 
     Step norms are measured in the lp norm of ``monitors.sp``.  The
-    sub-tolerance final application is not appended (it moves the state by
-    less than the tolerance); its displacement is kept as
-    ``final_residual``.  Iterates exceeding the overflow guard, or
+    within-tolerance final application is not appended; its displacement
+    is kept as ``final_residual``.  Iterates exceeding the overflow guard, or
     overflowing to Inf or NaN, raise ``DivergenceError`` carrying the
     partial trajectory.
     """
@@ -166,7 +166,9 @@ def picard_iterate(
         x_next = T(x)
         try:
             step = float(lp_norm(x_next - x, p))
-            if step < stop.step_tol:
+            if not steps:  # the stop is relative to max(||x_0||, first step)
+                tol = stop.step_tol * max(bound, step)
+            if step <= tol:
                 reason = "step_tol"
                 break
             bound += step
@@ -190,7 +192,6 @@ def picard_iterate(
         final_residual=step,
         converged=reason == "step_tol",
         stop_reason=reason,
-        stop=stop,
     )
     _attach_monitors(traj, T, monitors)
     if reason == "divergence":
@@ -241,13 +242,13 @@ def asymptotic_regularity_report(
             d0 = float(norm_pow(traj.iterates[0] - y, sp))
             dN = float(norm_pow(traj.iterates[-1] - y, sp))
             rhs = const * (d0 - dN)
-            margin = rhs - lhs + slack * max(d0, 1.0)
+            margin = rhs - lhs + slack * d0
             per_point.append((lhs, rhs, margin))
             ok = ok and margin >= 0.0
     return AsymptoticRegularityReport(
         step_norms=traj.step_norms,
         final_residual=traj.final_residual,
-        final_below_tol=bool(traj.final_residual < traj.stop.step_tol),
+        final_below_tol=traj.converged,
         bound_checked=ok is not None,
         bound_ok=ok,
         per_point=per_point,
@@ -344,6 +345,11 @@ def semigroup_limit_estimate(
     return est
 
 
+def fmt(v: float) -> str:
+    """``v`` with 17 significant digits: round-trip exact."""
+    return format(float(v), ".17g")
+
+
 def trajectory_to_csv(traj: Trajectory, fh) -> None:
     """Write the trajectory in CSV form: n, coordinates, step norm into the
     iterate, tracked distances, projection coordinates when present.
@@ -355,10 +361,6 @@ def trajectory_to_csv(traj: Trajectory, fh) -> None:
     if traj.fix_projections is not None:
         cols += [f"proj_x_{i+1}" for i in range(d)]
     fh.write(",".join(cols) + "\n")
-
-    def fmt(v: float) -> str:
-        return format(float(v), ".17g")
-
     for i, xi in enumerate(traj.iterates):
         row = [str(i)] + [fmt(v) for v in xi]
         row.append("" if i == 0 else fmt(traj.step_norms[i - 1]))

@@ -51,8 +51,8 @@ __all__ = [
     "load_instance_json",
 ]
 
-MEMBERSHIP_TOL = 1e-8  # limits farther than this from an image subspace fail
-FIX_TOL = 1e-10  # relative displacement allowed at sampled intersection points
+MEMBERSHIP_TOL = 1e-8  # limit residual to an image, relative to max(max|x_0|, max|limit|)
+FIX_TOL = 1e-10  # relative displacement of a sampled intersection point
 ISOMETRY_SAMPLES = 64  # points projection_from_isometry checks U on
 
 
@@ -90,8 +90,8 @@ def projection_from_isometry(
     """Build the contractive projection of an isometric involution.
 
     U is checked on ``ISOMETRY_SAMPLES`` points: U^2 = Id and norm
-    preservation to 1e-12 relative, idempotence of P to 1e-10 relative.
-    Failures raise with a witness.
+    preservation to 1e-12 and idempotence of P to 1e-10, each relative to
+    the sample's norm.  Failures raise with a witness.
     """
     rng = np.random.default_rng(seed)
     x = rng.uniform(-10.0, 10.0, size=(ISOMETRY_SAMPLES, dim))
@@ -105,11 +105,11 @@ def projection_from_isometry(
         ("(Id+U)/2 is not idempotent", lambda: lp_norm(P(px) - px, p), 1e-10),
     )
     for failure, error, bound in checks:
-        rel = error() / np.maximum(norm_x, 1.0)
-        if np.any(rel > bound):
-            i = int(np.argmax(rel))
+        err = error()
+        i = int(np.argmax(err - bound * norm_x))
+        if err[i] > bound * norm_x[i]:
             raise IsometryCheckError(
-                f"{failure} (relative error {rel[i]:.3e} at sample {x[i]})"
+                f"{failure} (error {err[i]:.3e} at sample {x[i]} of norm {norm_x[i]:.3e})"
             )
     complement = Averaged(Compose((Scale(-1.0), U)), 0.5)
     return ContractiveProjectionSpec(
@@ -162,9 +162,10 @@ def _run_scheme(
         raise FeasibilityError(
             f"no convergence within {stop.max_iter} iterations", trajectory=traj
         )
+    size = max(np.abs(x0).max(), np.abs(traj.limit).max())  # the stop is relative to x0
     for k, s in enumerate(specs):
         res = float(membership_residual(s.image, traj.limit, sp.p))
-        if res > MEMBERSHIP_TOL:
+        if res > MEMBERSHIP_TOL * size:
             raise FeasibilityError(
                 f"limit misses image subspace {k} by {res:.3e}", trajectory=traj
             )
@@ -216,7 +217,9 @@ def averaged_projections(
 
 @dataclass
 class FixedSetEqualityReport:
-    """Sampled verdicts that Fix(product) = Fix(average) = intersection."""
+    """Sampled verdicts that Fix(product) = Fix(average) = intersection; the
+    maxima are absolute, ``ok`` multiplies FIX_TOL by each sample's norm and
+    MEMBERSHIP_TOL by max(max|x_0|, max|limit|) of each run."""
 
     n_intersection_samples: int
     max_composed_displacement: float
@@ -243,31 +246,25 @@ def fixed_set_equality_check(
     intersection = intersect_images(specs)
     rng = np.random.default_rng(seed)
     pts = sample_points(intersection, rng, n, dim, p=sp.p)
-    scale = np.maximum(lp_norm(pts, sp.p), 1.0)
     composed = compose([s.projection for s in reversed(specs)], sp)
     avg = convex_combination(
         [s.projection for s in specs], [1.0 / len(specs)] * len(specs), sp
     )
-    disp_c = float(np.max(lp_norm(composed(pts) - pts, sp.p) / scale))
-    disp_a = float(np.max(lp_norm(avg(pts) - pts, sp.p) / scale))
+    disp_c = lp_norm(composed(pts) - pts, sp.p)
+    disp_a = lp_norm(avg(pts) - pts, sp.p)
     starts = rng.uniform(-10.0, 10.0, size=(max(n // 10, 3), dim))
-    worst_membership = 0.0
-    for x0 in starts:
-        traj = picard_iterate(
-            composed, x0, StopRule(step_tol=1e-12), MonitorConfig(sp=sp)
-        )
-        for s in specs:
-            worst_membership = max(
-                worst_membership, float(membership_residual(s.image, traj.limit, sp.p))
-            )
-    ok = disp_c <= FIX_TOL and disp_a <= FIX_TOL and worst_membership <= MEMBERSHIP_TOL
+    stop, monitors = StopRule(step_tol=1e-12), MonitorConfig(sp=sp)
+    limits = np.array([picard_iterate(composed, x0, stop, monitors).limit for x0 in starts])
+    membership = np.max([membership_residual(s.image, limits, sp.p) for s in specs], axis=0)
+    fixed = np.maximum(disp_c, disp_a) <= FIX_TOL * lp_norm(pts, sp.p)
+    within = membership <= MEMBERSHIP_TOL * np.maximum(np.abs(starts), np.abs(limits)).max(axis=1)
     return FixedSetEqualityReport(
         n_intersection_samples=n,
-        max_composed_displacement=disp_c,
-        max_averaged_displacement=disp_a,
+        max_composed_displacement=float(disp_c.max()),
+        max_averaged_displacement=float(disp_a.max()),
         n_iteration_limits=len(starts),
-        max_limit_membership=worst_membership,
-        ok=ok,
+        max_limit_membership=float(membership.max()),
+        ok=bool(fixed.all() and within.all()),
     )
 
 

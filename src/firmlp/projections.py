@@ -143,20 +143,21 @@ def _group_minimizer(vals: np.ndarray, p: float) -> np.ndarray:
     The derivative sum_i sign(a - v_i)|a - v_i|^(p-1) is strictly increasing
     in a.  On u = (v - min)/(max - min), an affine map that keeps its root,
     every power stays in range at any scale, and 53 halvings of [0, 1]
-    exhaust float64; a group of equal values gives that value.
+    exhaust float64; a group of equal values gives that value.  Halving
+    before subtracting keeps every finite group finite.
     """
     if p == 2.0:
         return vals.mean(axis=-1)
-    lo = vals.min(axis=-1)
-    width = vals.max(axis=-1) - lo
-    u = (vals - lo[..., None]) / np.where(width > 0.0, width, 1.0)[..., None]
+    lo, hi = vals.min(axis=-1), vals.max(axis=-1)
+    half = 0.5 * hi - 0.5 * lo
+    u = (0.5 * vals - 0.5 * lo[..., None]) / np.where(half > 0.0, half, 1.0)[..., None]
     a = np.zeros_like(lo)
     for k in range(1, 54):
         h = 0.5**k
         gap = (a + h)[..., None] - u
         # a stays at or below the root, and lands on a root that is a dyadic
         a += h * (np.copysign(np.abs(gap) ** (p - 1.0), gap).sum(axis=-1) <= 0.0)
-    return lo + a * width
+    return (1.0 - a) * lo + a * hi
 
 
 def project(C, x, sp: SpaceParams) -> np.ndarray:
@@ -197,7 +198,8 @@ def project(C, x, sp: SpaceParams) -> np.ndarray:
 
 
 def membership_residual(C, x, p: float):
-    """Max constraint violation of x w.r.t. C (0 on the set); batched."""
+    """Max constraint violation of x w.r.t. C (0 on the set); batched.  A
+    halfspace is read as (normal, offset) / max|normal|, as ``project`` does."""
     x = np.asarray(x, dtype=float)
     if isinstance(C, Box):
         viol = np.maximum(np.maximum(C.lower - x, x - C.upper), 0.0)
@@ -213,12 +215,20 @@ def membership_residual(C, x, p: float):
     if isinstance(C, Ball):
         return np.maximum(lp_norm(x - C.center, p) - C.radius, 0.0)
     if isinstance(C, Halfspace):
-        return np.maximum(x @ C.normal - C.offset, 0.0)
+        m = np.abs(C.normal).max()
+        return np.maximum(x @ (C.normal / m) - C.offset / m, 0.0)
     raise TypeError(f"unknown convex set kind: {type(C).__name__}")
 
 
 def is_member(C, x, p: float, tol: float = FEASIBILITY_TOL) -> bool:
-    return bool(np.all(membership_residual(C, x, p) <= tol))
+    """Whether each row of x has residual <= tol * max|x| (for a ball, the
+    max with max|center| and radius): no absolute floor, so (c x, c C) gets
+    the same verdict at every c > 0, and the origin admits only 0."""
+    x = np.asarray(x, dtype=float)
+    size = np.abs(x).max(axis=-1)
+    if isinstance(C, Ball):
+        size = np.maximum(size, max(np.abs(C.center).max(initial=0.0), C.radius))
+    return bool(np.all(membership_residual(C, x, p) <= tol * size))
 
 
 def sample_points(
@@ -258,11 +268,11 @@ def sample_points(
     raise TypeError(f"unknown convex set kind: {type(C).__name__}")
 
 
-def projection_inequality_residual(C, x, y, sp: SpaceParams, feas_tol: float = FEASIBILITY_TOL):
+def projection_inequality_residual(C, x, y, sp: SpaceParams):
     """Slack of ||x - P_C x||^r + (c_r/2)||P_C x - y||^r <= ||x - y||^r for y in C."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(membership_residual(C, y, sp.p) > feas_tol):
+    if not is_member(C, y, sp.p):
         raise ValueError("y must lie in C (within the feasibility tolerance)")
     px = project(C, x, sp)
     return norm_pow(x - y, sp) - norm_pow(x - px, sp) - 0.5 * sp.c_r * norm_pow(px - y, sp)

@@ -314,3 +314,26 @@ class TestSamplerDeterminism:
         s = Sampler(seed=2, dim=3, min_norm=5.0)
         pts = s.draw(500, 3.0)
         assert np.all(lp_norm(pts, 3.0) >= 5.0)
+
+
+class TestScaleFreeCertification:
+    """A pair's residual is relative to ||x - y|| with no floor, so a
+    verdict does not depend on the size of the sampling window."""
+
+    WINDOWS = (1e-150, 1e-10, 1.0, 1e5, 1e150)
+
+    def test_expansion_fails_in_every_window(self):
+        for c in self.WINDOWS:
+            rep = certify_nonexpansive(Scale(2.0), 2.0, Sampler(seed=5, dim=4, low=-c, high=c), n=200)
+            assert not rep.passed, c
+            assert rep.worst_residual == pytest.approx(-1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [3.0, 64.0])
+    def test_truncation_passes_at_its_constant_in_every_window(self, p):
+        sp = space_params(p)
+        T = truncation_operator(2, sp, 5)
+        for c in self.WINDOWS:
+            samplers = (Sampler(seed=1, dim=5, low=-c, high=c), Sampler(seed=2, dim=5, low=-c, high=c))
+            rep = certify_alpha_firm(T, T.meta.alpha_firm, sp, samplers, n=500)
+            assert rep.passed, c
+            assert abs(rep.worst_residual) <= 1e-12

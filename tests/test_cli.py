@@ -279,6 +279,35 @@ class TestIterateCommand:
         assert "'W'" in capsys.readouterr().err
 
 
+class TestScaleFreeVerdicts:
+    """The stop, membership and Fejer verdicts of a run do not depend on
+    the size of its start."""
+
+    def test_fejer_verdict_tiny_start(self, tmp_path):
+        # |1.5^n x_0| grows 7.6-fold away from the fixed point 0
+        for s in (1e-150, 1.0):
+            doc = {
+                "p": 2.0, "dim": 2, "operator": {"kind": "scale", "factor": 1.5},
+                "x0": [s, 0.0], "n_fejer": 1, "stop": {"max_iter": 5},
+            }
+            cfg = write_config(tmp_path, "i.json", doc)
+            assert main(["iterate", "--config", cfg, "--out", str(tmp_path)]) == 0
+            summary = json.loads((tmp_path / "summary.json").read_text())
+            assert summary["iterations"] == 5
+            assert summary["fejer_nonincreasing"] is False, s
+
+    def test_feasibility_at_every_scale(self, tmp_path):
+        for s in (1e-150, 1e-20, 1.0, 1e150):
+            cfg = write_config(tmp_path, "f.json", feasibility_config(x0=[s, 0.0, 0.0, 0.0]))
+            assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 0
+            summary = json.loads((tmp_path / "feasibility.json").read_text())
+            assert summary["converged"] and summary["iterations"] == 17
+            assert summary["limit"] == pytest.approx([s / 3, s / 3, s / 3, 0.0], rel=1e-9, abs=0.0)
+            loose = feasibility_config(x0=[s, 0.0, 0.0, 0.0], stop={"step_tol": 0.1})
+            cfg = write_config(tmp_path, "f.json", loose)
+            assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+
 class TestResolventCommand:
     def test_closed_form_values(self, tmp_path):
         doc = {

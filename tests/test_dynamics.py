@@ -560,3 +560,60 @@ class TestSemigroup:
     def test_empty_schedule_rejected(self, t):
         with pytest.raises(ValueError, match="schedule"):
             semigroup_limit_estimate(Scale(-1.0), t, np.ones(2), [], SP2)
+
+
+# entries of moderate size, so c * x keeps every entry in range at each c
+coords = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(min_value=1e-3, max_value=10.0),
+        st.floats(min_value=-10.0, max_value=-1e-3),
+    ),
+    min_size=4,
+    max_size=4,
+)
+# log-uniform over 1e-150..1e150
+scales = st.floats(min_value=-150.0, max_value=150.0).map(lambda e: 10.0**e)
+
+
+class TestScaleFreeVerdicts:
+    """Stop, Fejer and telescoping verdicts are relative, with no absolute
+    floor: a homogeneous T gives the same verdicts from c x_0 as from x_0."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(coords, scales)
+    def test_picard_steps_and_limit_scale(self, xs, c):
+        T = two_swap_chain(SP3)
+        x0 = np.array(xs)
+        ref = picard_iterate(T, x0, StopRule(), MonitorConfig(SP3))
+        out = picard_iterate(T, c * x0, StopRule(), MonitorConfig(SP3))
+        assert len(out.step_norms) == len(ref.step_norms)
+        assert np.max(np.abs(out.limit - c * ref.limit)) <= 1e-12 * c * np.max(np.abs(x0))
+
+    def test_fejer_verdict_at_every_scale(self):
+        # |1.5^n s| grows 7.6-fold over 5 steps away from the fixed point 0
+        for s in (1e-150, 1.0, 1e150):
+            traj = picard_iterate(
+                Scale(1.5), np.array([s, 0.0]), StopRule(max_iter=5),
+                MonitorConfig(SP2, auto_fejer=1),
+            )
+            assert len(traj.step_norms) == 5
+            assert traj.fejer_nonincreasing is False, s
+            chain = picard_iterate(
+                two_swap_chain(SP3), s * np.array([1.0, 0.0, 0.0, 0.0]), StopRule(),
+                MonitorConfig(SP3, auto_fejer=3, seed=2),
+            )
+            assert chain.fejer_nonincreasing is True, s
+
+    def test_telescoping_verdict_at_every_scale(self):
+        # -Id judged against the 1/2-firm constant of its average (Id - Id)/2:
+        # its steps never shrink while ||x_n|| stays put
+        claim = averaged(Scale(-1.0), 0.5).meta
+        for s in (1e-100, 1.0, 1e100):
+            traj = picard_iterate(
+                Scale(-1.0), np.array([s, 0.0]), StopRule(max_iter=4),
+                MonitorConfig(SP2, fejer_points=np.zeros((1, 2))),
+            )
+            rep = asymptotic_regularity_report(traj, claim, SP2)
+            assert rep.bound_checked and rep.bound_ok is False, s
+            assert rep.final_below_tol is False

@@ -5,6 +5,7 @@ from firmlp.certify import Sampler, certify_alpha_firm, certify_nonexpansive
 from firmlp.dynamics import StopRule
 from firmlp.feasibility import (
     EmptyIntersectionError,
+    FeasibilityError,
     IsometryCheckError,
     alternating_projections,
     averaged_projections,
@@ -206,3 +207,44 @@ class TestInstanceLoading:
         assert specs[0].image == AffineEqual(groups=((0, 1),))
         x = np.array([4.0, 0.0, 1.0])
         assert np.allclose(specs[0].projection(x), [2.0, 2.0, 1.0])
+
+
+class TestScaleFree:
+    """The Picard stop and the membership verdict of a feasibility run are
+    relative to the size of the start."""
+
+    SCALES = (1e-150, 1e-20, 1.0, 1e150)
+
+    def test_same_steps_and_limit_at_every_scale(self):
+        U, V = uv_instance()
+        e1 = np.array([1.0, 0.0, 0.0, 0.0])
+        steps = set()
+        for s in self.SCALES:
+            traj = alternating_projections([U, V], s * e1, StopRule(), SP3)
+            assert traj.converged
+            assert traj.limit == pytest.approx(s * np.array([1, 1, 1, 0]) / 3, rel=1e-9, abs=0.0)
+            steps.add(len(traj.step_norms))
+        assert steps == {17}
+
+    def test_limit_near_zero_is_judged_on_the_start(self):
+        # Both schemes shrink (1, 0, -1, 0) towards the limit 0; the stop
+        # leaves an error relative to ||x0||, which membership must accept.
+        U, V = uv_instance()
+        x0 = np.array([1.0, 0.0, -1.0, 0.0])
+        schemes = (
+            lambda x: alternating_projections([U, V], x, StopRule(), SP3),
+            lambda x: averaged_projections([U, V], [0.5, 0.5], x, StopRule(), SP3),
+        )
+        for scheme in schemes:
+            for s in self.SCALES:
+                traj = scheme(s * x0)
+                assert traj.converged
+                assert np.abs(traj.limit).max() <= 1e-8 * s
+
+    def test_loose_stop_misses_the_image_at_every_scale(self):
+        U, V = uv_instance()
+        for s in self.SCALES:
+            with pytest.raises(FeasibilityError, match="misses image subspace"):
+                alternating_projections(
+                    [U, V], s * np.array([1.0, 0.0, 0.0, 0.0]), StopRule(step_tol=0.1), SP3
+                )

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firmlp.projections import (
+    ORIGIN,
     AffineEqual,
     Ball,
     Box,
@@ -302,3 +303,67 @@ class TestSampling:
         C = AffineEqual(groups=((0, 1),))
         assert is_member(C, np.array([2.0, 2.0, 5.0]), 3.0)
         assert not is_member(C, np.array([2.0, 1.0, 5.0]), 3.0)
+
+
+class TestScaleFreeMembership:
+    """``is_member`` is relative to the size of the point, with no absolute
+    floor: (x, C) and (c x, c C) get the same verdict at every c > 0."""
+
+    @staticmethod
+    def assert_same_verdicts(C, cC, xs, c, p):
+        x = np.array(xs)
+        for y in (x, project(C, x, space_params(p))):
+            assert is_member(cC, c * y, p) == is_member(C, y, p)
+        assert is_member(cC, c * y, p)  # a projection is a member
+
+    @settings(max_examples=100, deadline=None)
+    @given(coords, scales, st.sampled_from(SCALE_PS))
+    def test_box(self, xs, c, p):
+        lo, up = np.array([-1.0, 0.5, -3.0, 0.0]), np.array([1.0, 2.0, -1.0, 0.0])
+        self.assert_same_verdicts(Box(lo, up), Box(c * lo, c * up), xs, c, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coords, scales, st.sampled_from(SCALE_PS))
+    def test_affine_equal(self, xs, c, p):
+        C = AffineEqual(groups=((0, 1, 2),), fixed=((3, 0.5),))
+        cC = AffineEqual(groups=((0, 1, 2),), fixed=((3, c * 0.5),))
+        self.assert_same_verdicts(C, cC, xs, c, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coords, scales, st.sampled_from(SCALE_PS))
+    def test_ball(self, xs, c, p):
+        center = np.array([1.0, -1.0, 0.0, 2.0])
+        self.assert_same_verdicts(Ball(center, 1.5), Ball(c * center, c * 1.5), xs, c, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coords, scales, st.sampled_from(SCALE_PS))
+    def test_halfspace(self, xs, c, p):
+        normal = np.array([1.0, -2.0, 0.5, 3.0])
+        self.assert_same_verdicts(Halfspace(normal, 1.0), Halfspace(normal, c * 1.0), xs, c, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coords, scales)
+    def test_halfspace_scaled_normal(self, xs, k):
+        normal, x = np.array([1.0, -2.0, 0.5, 3.0]), np.array(xs)
+        assert is_member(Halfspace(k * normal, k * 1.0), x, 3.0) == is_member(
+            Halfspace(normal, 1.0), x, 3.0
+        )
+
+    def test_origin_and_sphere_through_origin(self):
+        assert not is_member(ORIGIN, np.array([1e-20, 0.0]), 2.0)
+        assert is_member(ORIGIN, np.zeros(2), 2.0)
+        # a point 1e-9 from 0 along the tangent of a circle through 0: its
+        # residual is a rounding of the radius, far above 1e-10 * max|x|
+        center = np.array([0.872, 0.13])
+        C, x = Ball(center, lp_norm(center, 2.0)), 1e-9 * np.array([-0.13, 0.872])
+        assert membership_residual(C, x, 2.0) > 1e-10 * np.max(np.abs(x))
+        assert is_member(C, x, 2.0)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_equal_coordinates_at_the_float64_edge(self, p):
+        # max - min overflows here; the halves do not
+        sp = space_params(p)
+        out = project(AffineEqual(((0, 1),)), np.array([-1e308, 1e308, 1.0]), sp)
+        assert np.array_equal(out, [0.0, 0.0, 1.0])
+        out = project(AffineEqual(((0, 1, 2),)), np.array([-1.7e308, 1.7e308, 1.7e308]), sp)
+        assert np.all(np.isfinite(out)) and np.all(np.abs(out) <= 1.7e308)
