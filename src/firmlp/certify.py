@@ -67,12 +67,11 @@ class Sampler:
         if self.low > self.high:
             raise ValueError(f"sampler low must not exceed high, got {self.low} > {self.high}")
 
-    def draw(self, n: int, p: float = 2.0) -> np.ndarray:
+    def draw(self, n: int, p: float) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
         if self.constraint is not None:
             pts = sample_points(
-                self.constraint, rng, n, self.dim,
-                scale=max(abs(self.low), abs(self.high)), p=p,
+                self.constraint, rng, n, self.dim, p, scale=max(abs(self.low), abs(self.high))
             )
         elif self.dist == "uniform":
             pts = rng.uniform(self.low, self.high, size=(n, self.dim))
@@ -284,7 +283,7 @@ def _bruck_phi(dxy, dtxy, w: float, p: float):
     return lp_norm((1.0 - w) * dxy + w * dtxy, p)
 
 
-def bruck_phi(T, x, y, w: float, p: float = 2.0):
+def bruck_phi(T, x, y, w: float, p: float):
     """phi(w) = ||(1-w)x + wTx - ((1-w)y + wTy)||_p; phi(0) = ||x - y||,
     phi(1) = ||Tx - Ty||."""
     if not 0.0 <= w <= 1.0:

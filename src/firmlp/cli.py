@@ -8,7 +8,7 @@ significant digits and JSON documents are dumped with sorted keys.
 
 Exit codes: 0 success, 1 usage or config error, 2 property failure (a
 certification found a witness, or the instance is infeasible), 3 numeric
-failure (divergence or non-convergence).
+failure (divergence, non-convergence, or a NaN or Inf arising in the run).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import certify as cert
 from . import dynamics, feasibility
 from .operators import DimensionMismatch, ResolventDiverged, json_value, operator_from_json
-from .space import lp_norm, space_params
+from .space import NonFiniteError, lp_norm, space_params
 
 __all__ = ["main"]
 
@@ -84,30 +84,34 @@ def _prepare(args, required: set, optional: set, vector: str | None):
     vec = None
     if vector is not None:
         vec = json_value(doc, vector, lambda v: np.asarray(v, dtype=float))
-        if vec.shape != (dim,):
-            raise ConfigError(f"{vector} must have dim {dim} coordinates")
+        if vec.shape != (dim,) or not np.isfinite(vec).all():
+            raise ConfigError(f"{vector!r} must hold {dim} finite coordinates")
     return doc, sp, dim, op, vec
 
 
+_SAMPLER_KEYS = {
+    "dist": str,
+    "low": float,
+    "high": float,
+    "scale": float,
+    "min_norm": lambda v: None if v is None else float(v),
+}
+_STOP_KEYS = {"step_tol": float, "max_iter": int}
+
+
+def _settings(doc: dict, keys: dict, what: str) -> dict:
+    """The entries of ``keys`` (key -> converter) that ``doc`` sets, each read
+    through ``json_value``; the library's defaults fill in the rest."""
+    _check_keys(doc, set(), set(keys), what)
+    return {key: json_value(doc, key, convert) for key, convert in keys.items() if key in doc}
+
+
 def _sampler_from(doc: dict, seed: int, dim: int) -> cert.Sampler:
-    _check_keys(doc, set(), {"dist", "low", "high", "scale", "min_norm"}, "sampler")
-    return cert.Sampler(
-        seed=seed,
-        dim=dim,
-        dist=doc.get("dist", "uniform"),
-        low=json_value(doc, "low", float, -10.0),
-        high=json_value(doc, "high", float, 10.0),
-        scale=json_value(doc, "scale", float, 1.0),
-        min_norm=json_value(doc, "min_norm", lambda v: None if v is None else float(v), None),
-    )
+    return cert.Sampler(seed=seed, dim=dim, **_settings(doc, _SAMPLER_KEYS, "sampler"))
 
 
 def _stop_rule(doc: dict) -> dynamics.StopRule:
-    _check_keys(doc, set(), {"step_tol", "max_iter"}, "stop-rule")
-    return dynamics.StopRule(
-        step_tol=json_value(doc, "step_tol", float, 1e-10),
-        max_iter=json_value(doc, "max_iter", int, 100_000),
-    )
+    return dynamics.StopRule(**_settings(doc, _STOP_KEYS, "stop-rule"))
 
 
 def _finite_or_null(value):
@@ -165,13 +169,8 @@ def _cmd_certify(out: Path, doc: dict, sp, dim: int, T, _) -> int:
             T, json_value(doc, "alpha", float), sp, (sampler, second), n=n, tol=tol
         )
     elif prop == "quasi_alpha_firm":
-        fix_doc = doc.get("fix_sampler")
-        fix_sampler = None
-        if fix_doc is not None:
-            fix_sampler = _sampler_from(fix_doc, seed + 1, dim)
-            fix_sampler.constraint = T.meta.fixed_points
         report = cert.certify_quasi_alpha_firm(
-            T, json_value(doc, "alpha", float), sp, fix_sampler, sampler, n=n, tol=tol
+            T, json_value(doc, "alpha", float), sp, None, sampler, n=n, tol=tol
         )
     elif prop == "bruck":
         grid = json_value(doc, "w_grid", lambda v: None if v is None else _floats(v), None)
@@ -207,10 +206,9 @@ def _cmd_iterate(out: Path, doc: dict, sp, dim: int, T, x0) -> int:
 
 
 def _cmd_resolvent(out: Path, doc: dict, sp, dim: int, F, x) -> int:
-    tol = json_value(doc, "tol", float, 1e-12)
     rows = []
     for lam in json_value(doc, "lambdas", _floats):
-        y = dynamics.resolvent_apply(F, lam, x, sp, tol=tol)
+        y = dynamics.resolvent_apply(F, lam, x, sp)
         rows.append({"lam": lam, "value": y.tolist(),
                      "displacement": float(lp_norm(y - x, sp.p))})
     path = json_value(doc, "report", out.joinpath, "resolvent.json")
@@ -222,8 +220,7 @@ def _cmd_resolvent(out: Path, doc: dict, sp, dim: int, F, x) -> int:
 def _cmd_semigroup(out: Path, doc: dict, sp, dim: int, F, x) -> int:
     t = json_value(doc, "t", float)
     schedule = json_value(doc, "schedule", lambda ns: [int(n) for n in ns])
-    tol = json_value(doc, "tol", float, 1e-8)
-    est = dynamics.semigroup_limit_estimate(F, t, x, schedule, sp, tol=tol)
+    est = dynamics.semigroup_limit_estimate(F, t, x, schedule, sp)
     errors = est.closed_form_errors
     csv_path = json_value(doc, "csv", out.joinpath, "semigroup.csv")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
@@ -289,7 +286,7 @@ _COMMANDS = {
     "certify": (
         _cmd_certify,
         {"operator", "property"},
-        {"alpha", "samples", "tol", "sampler", "w_grid", "report", "fix_sampler"},
+        {"alpha", "samples", "tol", "sampler", "w_grid", "report"},
         None,
     ),
     "iterate": (
@@ -298,10 +295,8 @@ _COMMANDS = {
         {"stop", "n_fejer", "track_fix_projections", "csv", "summary"},
         "x0",
     ),
-    "resolvent": (_cmd_resolvent, {"operator", "lambdas", "x"}, {"tol", "report"}, "x"),
-    "semigroup": (
-        _cmd_semigroup, {"operator", "t", "schedule", "x"}, {"tol", "csv", "summary"}, "x"
-    ),
+    "resolvent": (_cmd_resolvent, {"operator", "lambdas", "x"}, {"report"}, "x"),
+    "semigroup": (_cmd_semigroup, {"operator", "t", "schedule", "x"}, {"csv", "summary"}, "x"),
     "feasibility": (
         _cmd_feasibility,
         {"isometries", "x0"},
@@ -335,12 +330,13 @@ def main(argv=None) -> int:
     except feasibility.IsometryCheckError as exc:
         print(f"rejected isometry: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
+    except (ResolventDiverged, dynamics.DivergenceError, NonFiniteError) as exc:
+        # config vectors are checked finite, so a NaN or Inf arose in the run
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ConfigError, DimensionMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ResolventDiverged, dynamics.DivergenceError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

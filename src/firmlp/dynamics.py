@@ -14,7 +14,8 @@ they obey the telescoping bound
                                  * (||x_0 - y||^r - ||x_N - y||^r)
 
 for each tracked fixed point y, which is what the quasi-firm inequality
-gives after summing consecutive steps.
+gives after summing consecutive steps; it is evaluated on norm ratios, so
+no r-th power overflows at large p.
 
 Resolvents are ``operators.Resolvent`` nodes, whose docstring describes
 their closed-form and iteration paths and the error of each.
@@ -30,9 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .certify import _firm_slack, _separation
 from .operators import OperatorExpr, Scale, compose, resolvent_operator
 from .projections import project, sample_points
-from .space import SpaceParams, lp_norm, norm_pow
+from .space import SpaceParams, lp_norm
 
 __all__ = [
     "StopRule",
@@ -51,6 +53,8 @@ __all__ = [
 ]
 
 OVERFLOW_FACTOR = 1e12
+TELESCOPING_TOL = 1e-9  # on the quasi-firm slack over ||x_0 - y||^r
+SEMIGROUP_TOL = 1e-8  # last Cauchy gap, relative to ||x||
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,7 @@ def _attach_monitors(traj: Trajectory, T, monitors: MonitorConfig) -> Trajectory
     if pts is None and monitors.auto_fejer > 0 and fixed_set is not None:
         rng = np.random.default_rng(monitors.seed)
         pts = sample_points(
-            fixed_set, rng, monitors.auto_fejer, traj.iterates.shape[1], p=sp.p
+            fixed_set, rng, monitors.auto_fejer, traj.iterates.shape[1], sp.p
         )
     if pts is not None:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -210,7 +214,9 @@ class AsymptoticRegularityReport:
     final_below_tol: bool
     bound_checked: bool
     bound_ok: bool | None
-    per_point: list = field(default_factory=list)  # (lhs, rhs, margin) per tracked y
+    # per tracked y: ||steps||_r and ||x_N - y|| over ||x_0 - y||, and the
+    # quasi-firm slack plus TELESCOPING_TOL (the bound holds iff it is >= 0)
+    per_point: list = field(default_factory=list)
     note: str = ""
 
 
@@ -218,13 +224,17 @@ def asymptotic_regularity_report(
     traj: Trajectory,
     T_meta,
     sp: SpaceParams,
-    slack: float = 1e-9,
 ) -> AsymptoticRegularityReport:
     """Check step-norm decay and the telescoping step bound.
 
-    The bound needs a firm constant from the operator metadata; without one
-    the check is skipped and flagged in ``note``.  Tracked fixed points come
-    from the trajectory's monitor channel.
+    Over d_0^r, d_k = ||x_k - y||, the bound is the quasi-firm slack
+
+        1 - (c_r/2)((1 - alpha)/alpha) ||steps/d_0||_r^r - (d_N/d_0)^r,
+
+    which passes when it is >= -``TELESCOPING_TOL``; a start with d_0 = 0
+    has slack 0.  The bound needs a firm constant from the operator
+    metadata; without one the check is skipped and flagged in ``note``.
+    Tracked fixed points come from the trajectory's monitor channel.
     """
     alpha = getattr(T_meta, "alpha_firm", None)
     per_point = []
@@ -235,16 +245,13 @@ def asymptotic_regularity_report(
     elif traj.fejer_points is None or len(traj.fejer_points) == 0:
         note = "no tracked fixed points; telescoping bound skipped"
     else:
-        const = 2.0 * alpha / (sp.c_r * (1.0 - alpha))
-        lhs = float(np.sum(traj.step_norms**sp.r))
-        ok = True
-        for y in traj.fejer_points:
-            d0 = float(norm_pow(traj.iterates[0] - y, sp))
-            dN = float(norm_pow(traj.iterates[-1] - y, sp))
-            rhs = const * (d0 - dN)
-            margin = rhs - lhs + slack * d0
-            per_point.append((lhs, rhs, margin))
-            ok = ok and margin >= 0.0
+        d0, dN = lp_norm(traj.iterates[[0, -1], None, :] - traj.fejer_points, sp.p)
+        s = _separation(d0)
+        # ||steps/d_0||_r = ||steps||_r / d_0, and the norm is exact at any scale
+        steps = lp_norm(traj.step_norms, sp.r) / s
+        margins = _firm_slack(d0 / s, steps, dN / s, alpha, sp) + TELESCOPING_TOL
+        per_point = [tuple(map(float, row)) for row in zip(steps, dN / s, margins)]
+        ok = all(margin >= 0.0 for *_, margin in per_point)
     return AsymptoticRegularityReport(
         step_norms=traj.step_norms,
         final_residual=traj.final_residual,
@@ -256,11 +263,11 @@ def asymptotic_regularity_report(
     )
 
 
-def resolvent_apply(F: OperatorExpr, lam: float, x, sp: SpaceParams, tol: float = 1e-12):
+def resolvent_apply(F: OperatorExpr, lam: float, x, sp: SpaceParams):
     """Evaluate the resolvent of F at parameter lam >= 0 (lam = 0 is the
     identity) through the ``Resolvent`` node: the dimension of x is checked,
     an uncertified F warns, and the stop rule is the node's."""
-    return resolvent_operator(F, lam, sp, tol=tol)(x)
+    return resolvent_operator(F, lam, sp)(x)
 
 
 def semigroup_product(F: OperatorExpr, t: float, n: int, sp: SpaceParams) -> OperatorExpr:
@@ -296,23 +303,24 @@ def semigroup_limit_estimate(
     x,
     n_schedule,
     sp: SpaceParams,
-    tol: float = 1e-8,
 ) -> SemigroupEstimate:
     """Evaluate the n-fold resolvent products along an increasing schedule.
 
-    For a scaling generator F = c*Id the limit e^{-(1-c)t} x is exact, so
-    errors against it and the semigroup axioms (identity at t -> 0,
-    additivity, nonexpansiveness) are reported as well.
+    ``cauchy_ok``: the last gap is within ``SEMIGROUP_TOL * ||x||``, or each
+    gap is at most 0.95 times the one before.  For a scaling generator
+    F = c*Id the limit e^{-(1-c)t} x is exact, so errors against it and the
+    semigroup axioms (identity at t -> 0, additivity, nonexpansiveness) are
+    reported as well.
     """
-    if not math.isfinite(tol):
-        raise ValueError(f"semigroup tol must be finite, got {tol}")
     schedule = tuple(int(n) for n in n_schedule)
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("n_schedule must be nonempty and strictly increasing")
     x = np.asarray(x, dtype=float)
+    x_norm = float(lp_norm(x, sp.p))
     values = np.asarray([semigroup_product(F, t, n, sp)(x) for n in schedule])
     diffs = lp_norm(np.diff(values, axis=0), sp.p)
-    cauchy_ok = bool(diffs.size == 0 or diffs[-1] <= tol or np.all(diffs[1:] <= 0.95 * diffs[:-1]))
+    last_ok = diffs.size == 0 or diffs[-1] <= SEMIGROUP_TOL * x_norm
+    cauchy_ok = bool(last_ok or np.all(diffs[1:] <= 0.95 * diffs[:-1]))
     est = SemigroupEstimate(
         schedule=schedule,
         values=values,
@@ -331,16 +339,15 @@ def semigroup_limit_estimate(
         half = semigroup_product(F, t / 2.0, n_big, sp) if t > 0 else None
         axioms = {
             "identity_at_zero": float(lp_norm(near_id - x, sp.p)),
-            "identity_at_zero_bound": abs(rate) * t_small * float(lp_norm(x, sp.p)) * 1.01,
+            "identity_at_zero_bound": abs(rate) * t_small * x_norm * 1.01,
         }
         if half is not None:
             additivity_gap = lp_norm(half(half(x)) - est.value, sp.p)
             axioms["additivity"] = float(additivity_gap)
             # composing two n-products at t/2 equals the 2n-product at t, so
-            # the gap is the schedule refinement error, O(t^2/n) here
-            axioms["additivity_bound"] = (
-                2.0 * rate**2 * t**2 / n_big * float(lp_norm(x, sp.p)) + 1e-12
-            )
+            # the gap is the schedule refinement error, O(t^2/n) here, plus
+            # rounding relative to ||x||
+            axioms["additivity_bound"] = (2.0 * rate**2 * t**2 / n_big + 1e-12) * x_norm
         est.axiom_checks = axioms
     return est
 

@@ -35,7 +35,7 @@ from .projections import (
     sample_points,
     set_from_json,
 )
-from .space import SpaceParams, lp_norm
+from .space import NonFiniteError, SpaceParams, lp_norm, space_params
 
 __all__ = [
     "ContractiveProjectionSpec",
@@ -105,13 +105,16 @@ def projection_from_isometry(
         ("(Id+U)/2 is not idempotent", lambda: lp_norm(P(px) - px, p), 1e-10),
     )
     for failure, error, bound in checks:
-        err = error()
+        try:
+            err = error()
+        except NonFiniteError:  # an isometry keeps every finite vector finite
+            raise IsometryCheckError(f"{failure} (the check overflowed)") from None
         i = int(np.argmax(err - bound * norm_x))
         if err[i] > bound * norm_x[i]:
             raise IsometryCheckError(
                 f"{failure} (error {err[i]:.3e} at sample {x[i]} of norm {norm_x[i]:.3e})"
             )
-    complement = Averaged(Compose((Scale(-1.0), U)), 0.5)
+    complement = Averaged(Compose((Scale(-1.0), U), space_params(p)), 0.5)
     return ContractiveProjectionSpec(
         isometry=U,
         projection=P,
@@ -155,7 +158,7 @@ def _run_scheme(
 ) -> Trajectory:
     rng = np.random.default_rng(seed)
     dim = np.asarray(x0).shape[-1]
-    fejer = sample_points(intersection, rng, max(n_fejer, 1), dim, p=sp.p)
+    fejer = sample_points(intersection, rng, max(n_fejer, 1), dim, sp.p)
     monitors = MonitorConfig(sp=sp, fejer_points=fejer, track_fix_projections=True)
     traj = picard_iterate(T, x0, stop, monitors)
     if not traj.converged:
@@ -211,7 +214,7 @@ def averaged_projections(
     if any(not 0.0 < w < 1.0 for w in weights):
         raise ValueError("averaged-scheme weights must lie strictly in (0, 1)")
     intersection = intersect_images(specs)
-    T = convex_combination([s.projection for s in specs], weights, sp)
+    T = convex_combination([s.projection for s in specs], weights)
     return _run_scheme(T, intersection, x0, stop, sp, specs, n_fejer, seed)
 
 
@@ -245,11 +248,9 @@ def fixed_set_equality_check(
     specs = list(specs)
     intersection = intersect_images(specs)
     rng = np.random.default_rng(seed)
-    pts = sample_points(intersection, rng, n, dim, p=sp.p)
+    pts = sample_points(intersection, rng, n, dim, sp.p)
     composed = compose([s.projection for s in reversed(specs)], sp)
-    avg = convex_combination(
-        [s.projection for s in specs], [1.0 / len(specs)] * len(specs), sp
-    )
+    avg = convex_combination([s.projection for s in specs], [1.0 / len(specs)] * len(specs))
     disp_c = lp_norm(composed(pts) - pts, sp.p)
     disp_a = lp_norm(avg(pts) - pts, sp.p)
     starts = rng.uniform(-10.0, 10.0, size=(max(n // 10, 3), dim))

@@ -18,8 +18,9 @@ combinators implement the propagation rules
 * convex sums:  firm route max(a_i), averaged route sum(w_i a_i);
 
 keeping the smaller (stronger) firm constant whenever both routes apply.
-The composition's firm route needs the power type r, so it applies only
-when the node is given the space.
+Every node whose constants depend on the space takes it, with no default:
+``Compose`` (its firm route needs the power type r), ``Truncate``
+(c_r/(c_r + 2)), ``Affine`` and ``Resolvent`` (p).
 Fixed-point sets propagate through averaging (Fix((1-a)Id + aR) = Fix R)
 and intersect through compositions and convex combinations of operators
 that all carry firm constants (the quasi-firm calculus), provided the
@@ -86,6 +87,7 @@ __all__ = [
 ]
 
 WEIGHT_TOL = 1e-12
+RESOLVENT_TOL = 1e-12  # relative stop of the resolvent iteration
 
 
 class DimensionMismatch(ValueError):
@@ -238,12 +240,13 @@ def identity() -> Scale:
 class Truncate(OperatorExpr):
     """Keep the first ``keep`` coordinates, zero the rest.
 
-    Given the space, the node carries the exact firm constant c_r/(c_r + 2);
-    given the ambient dimension ``dim``, its coordinate-subspace fixed set.
+    The node carries the exact firm constant c_r/(c_r + 2) of the space
+    ``sp``.  Given the ambient dimension ``dim``, it acts on that dimension
+    only and carries its coordinate-subspace fixed set.
     """
 
     keep: int
-    sp: SpaceParams | None = None
+    sp: SpaceParams
     dim: int | None = None
 
     def __post_init__(self):
@@ -255,11 +258,12 @@ class Truncate(OperatorExpr):
         self.dims = (self.keep + 1, None)
         fixed = None
         if self.dim is not None:
+            self.dims = (self.dim, self.dim)
             kept = np.arange(self.dim) < self.keep
             fixed = Box(np.where(kept, -np.inf, 0.0), np.where(kept, np.inf, 0.0))
         self.meta = OperatorMeta(
             proven_nonexpansive=True,
-            alpha_firm=None if self.sp is None else self.sp.c_r / (self.sp.c_r + 2.0),
+            alpha_firm=self.sp.c_r / (self.sp.c_r + 2.0),
             fixed_points=fixed,
         )
 
@@ -424,14 +428,14 @@ def _combined_meta(ops, firm, avg, fixed_sets) -> OperatorMeta:
 class Compose(OperatorExpr):
     """ops[0] applied last: Compose([A, B])(x) = A(B(x)).
 
-    The firm route needs every operand to carry a firm constant and the
-    space ``sp`` (its constant depends on r); the averaged route needs every
-    operand to carry an averaging constant.  The smaller resulting firm
-    constant is kept.
+    The firm route needs every operand to carry a firm constant, and its
+    constant depends on r of the space ``sp``; the averaged route needs
+    every operand to carry an averaging constant.  The smaller resulting
+    firm constant is kept.
     """
 
     ops: tuple
-    sp: SpaceParams | None = None
+    sp: SpaceParams
 
     def __post_init__(self):
         ops = tuple(self.ops)
@@ -442,7 +446,7 @@ class Compose(OperatorExpr):
         self.affine = all(op.affine for op in ops)
         alphas = [op.meta.alpha_firm for op in ops]
         firm = None
-        if self.sp is not None and all(a is not None for a in alphas):
+        if all(a is not None for a in alphas):
             a_max = max(alphas)
             firm = 1.0 / (1.0 + (1.0 - a_max) / (len(ops) ** (self.sp.r - 1.0) * a_max))
         avgs = [op.meta.averaged for op in ops]
@@ -521,28 +525,26 @@ class Resolvent(OperatorExpr):
     building the node warns for the latter) runs the contraction above, with
     factor q = lam/(1+lam) when F is nonexpansive.  A step is measured by
     its largest entry, exact at every scale.  Each row of a batch is done
-    when its step is within ``tol * scale / d^(1/p)``, scale = max(max|x|,
-    delta_1, max|y|) with delta_1 its first step: as ||v||_p <= d^(1/p)
-    max|v|, its lp step is then within tol times its scale and its error
-    about tol lam times its scale, whatever else is in the batch.  A
+    when its step is within ``tol * scale / d^(1/p)``, tol = ``RESOLVENT_TOL``
+    and scale = max(max|x|, delta_1, max|y|) with delta_1 its first step:
+    as ||v||_p <= d^(1/p) max|v|, its lp step is then within tol times its
+    scale and its error about tol lam times its scale, whatever else is in
+    the batch.  A
     non-finite iterate, a step above d^(1/p) delta_1 and the threshold (no
     contraction takes one), an exhausted geometric budget (from d^(1/p)
     delta_1 down to the threshold), or a lam so large that q rounds to 1
-    raises ``ResolventDiverged``; so may a tol below rounding (about 1e-15).
+    raises ``ResolventDiverged``.
     """
 
     inner: OperatorExpr
     lam: float
     p: float
-    tol: float = 1e-12
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.lam, self.tol = float(self.lam), float(self.tol)
+        self.lam = float(self.lam)
         if not 0.0 <= self.lam < math.inf:
             raise ValueError(f"resolvent parameter lam must be finite and >= 0, got {self.lam}")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"resolvent tol must be finite and > 0, got {self.tol}")
         self.dims = self.inner.dims
         proven = self.inner.meta.proven_nonexpansive
         if not proven:
@@ -596,7 +598,7 @@ class Resolvent(OperatorExpr):
         # max|v| <= ||v||_p <= root_d max|v|; the lp steps of a
         # q-contraction shrink by q from at most root_d scale
         root_d = x.shape[-1] ** (1.0 / self.p)
-        tol = self.tol / root_d
+        tol = RESOLVENT_TOL / root_d
         budget = 20 + max(0, int(math.log(tol / root_d) / math.log(q)))
         base = x / (1.0 + self.lam)
         # max|y| <= max|x| + the steps: read max|y| only where that could pass
@@ -633,8 +635,8 @@ def compose(ops, sp: SpaceParams) -> Compose:
     return Compose(tuple(ops), sp)
 
 
-def convex_combination(ops, weights, sp: SpaceParams) -> ConvexCombo:
-    """Weighted sum of ops; its constants do not depend on the space sp."""
+def convex_combination(ops, weights) -> ConvexCombo:
+    """Weighted sum of ops; its constants do not depend on the space."""
     return ConvexCombo(tuple(ops), tuple(weights))
 
 
@@ -676,10 +678,10 @@ def neural_network(affine_layers, sigma: OperatorExpr, sp: SpaceParams) -> Compo
     return compose(chain, sp)
 
 
-def resolvent_operator(F: OperatorExpr, lam: float, sp: SpaceParams, tol: float = 1e-12) -> Resolvent:
+def resolvent_operator(F: OperatorExpr, lam: float, sp: SpaceParams) -> Resolvent:
     """Resolvent of F with firm constant 1/2 and the fixed set of F; warns
     when F carries no nonexpansiveness certificate."""
-    return Resolvent(F, lam, p=sp.p, tol=tol)
+    return Resolvent(F, lam, p=sp.p)
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +749,7 @@ def operator_from_json(doc: dict, sp: SpaceParams, dim: int) -> OperatorExpr:
     if kind == "compose":
         return compose(subs("ops"), sp)
     if kind == "convex_combo":
-        return convex_combination(subs("ops"), json_value(doc, "weights", _array), sp)
+        return convex_combination(subs("ops"), json_value(doc, "weights", _array))
     if kind == "resolvent":
         return resolvent_operator(sub("inner"), json_value(doc, "lam", float), sp)
     raise ValueError(f"unknown operator kind {kind!r}")

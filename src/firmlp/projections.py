@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import SpaceParams, lp_norm, norm_pow
+from .space import NonFiniteError, SpaceParams, lp_norm, norm_pow
 
 __all__ = [
     "Box",
@@ -82,9 +82,10 @@ class AffineEqual:
     fixed: tuple = ()
 
     def __post_init__(self):
-        # sorted within and across groups: one set, one descriptor
+        # sorted within and across groups, and a pinned -0.0 stored as 0.0
+        # (v + 0.0): one set, one descriptor
         groups = tuple(sorted(tuple(sorted(int(i) for i in g)) for g in self.groups))
-        fixed = tuple(sorted((int(i), float(v)) for i, v in self.fixed))
+        fixed = tuple(sorted((int(i), float(v) + 0.0) for i, v in self.fixed))
         seen = set()
         for g in groups:
             if len(g) < 2:
@@ -116,9 +117,10 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("Ball radius must be positive")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        center = np.asarray(self.center, dtype=float)
+        if not (0.0 < self.radius < np.inf and np.all(np.isfinite(center))):
+            raise ValueError("Ball needs a finite center and a finite radius > 0")
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(self.radius))
 
 
@@ -133,6 +135,8 @@ class Halfspace:
         a = np.asarray(self.normal, dtype=float)
         if a.ndim != 1 or not np.any(a != 0.0):
             raise ValueError("Halfspace normal must be a nonzero vector")
+        if not (np.all(np.isfinite(a)) and np.isfinite(self.offset)):
+            raise ValueError("Halfspace normal and offset must be finite")
         object.__setattr__(self, "normal", a)
         object.__setattr__(self, "offset", float(self.offset))
 
@@ -164,7 +168,7 @@ def project(C, x, sp: SpaceParams) -> np.ndarray:
     """Metric projection of x (batched along leading axes) onto C."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
-        raise ValueError("project: input contains NaN or Inf")
+        raise NonFiniteError("project: input contains NaN or Inf")
     p = sp.p
     if isinstance(C, Box):
         return np.clip(x, C.lower, C.upper)
@@ -232,7 +236,7 @@ def is_member(C, x, p: float, tol: float = FEASIBILITY_TOL) -> bool:
 
 
 def sample_points(
-    C, rng: np.random.Generator, n: int, dim: int, scale: float = 10.0, p: float = 2.0
+    C, rng: np.random.Generator, n: int, dim: int, p: float, scale: float = 10.0
 ) -> np.ndarray:
     """Draw n exact members of C inside a coordinate window of half-width
     scale; ``p`` matters only for ball membership."""
@@ -335,8 +339,8 @@ def merge_fixed_point_sets(sets):
     repeats) is the answer.  Among two or more: with the origin present and
     only boxes and equal-coordinate sets, the answer is ``ORIGIN`` when all
     of them hold the origin and ``EMPTY_INTERSECTION`` otherwise;
-    equal-coordinate sets alone merge by union-find over their groups and
-    pins, boxes alone by their coordinatewise meet, each
+    equal-coordinate sets alone merge into blocks of the indices their
+    groups and pins join, boxes alone by their coordinatewise meet, each
     ``EMPTY_INTERSECTION`` on a contradiction.  Any other mix, a ball or
     halfspace among several operands, or a missing descriptor (None) gives
     None.  Each distinct descriptor (by identity) is examined once, so n
@@ -364,49 +368,22 @@ def merge_fixed_point_sets(sets):
 
 
 def _merge_affine_equal(sets):
-    # returns a merged AffineEqual or EMPTY_INTERSECTION on pin conflicts
-    parent: dict[int, int] = {}
-
-    def find(i):
-        parent.setdefault(i, i)
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    pinned: dict[int, float] = {}
+    """Merge each group and each pin into the blocks of indices it meets; a
+    block with two pin values is ``EMPTY_INTERSECTION``, one with a pin pins
+    every index in it, and one without is a group."""
+    blocks = []  # (indices, pin values)
     for s in sets:
-        for g in s.groups:
-            for i in g[1:]:
-                union(g[0], i)
-        for i, v in s.fixed:
-            if i in pinned and pinned[i] != v:
-                return EMPTY_INTERSECTION
-            pinned[i] = v
-    roots: dict[int, list[int]] = {}
-    for i in parent:
-        roots.setdefault(find(i), []).append(i)
-    groups = []
-    group_pin: dict[int, float] = {}
-    for root, members in sorted(roots.items()):
-        vals = {pinned[i] for i in members if i in pinned}
-        if len(vals) > 1:
-            return EMPTY_INTERSECTION
-        if vals:
-            v = vals.pop()
-            for i in members:
-                group_pin[i] = v
-        else:
-            groups.append(tuple(sorted(members)))
-    fixed = dict(pinned)
-    fixed.update(group_pin)
-    return AffineEqual(groups=tuple(groups), fixed=tuple(sorted(fixed.items())))
-
+        for idx, pins in [(set(g), set()) for g in s.groups] + [({i}, {v}) for i, v in s.fixed]:
+            for block in [b for b in blocks if b[0] & idx]:
+                blocks.remove(block)
+                idx, pins = idx | block[0], pins | block[1]
+            blocks.append((idx, pins))
+    if any(len(pins) > 1 for _, pins in blocks):
+        return EMPTY_INTERSECTION
+    return AffineEqual(
+        groups=tuple(tuple(idx) for idx, pins in blocks if not pins),
+        fixed=tuple((i, v) for idx, pins in blocks for v in pins for i in idx),
+    )
 
 
 def set_to_json(C) -> dict:

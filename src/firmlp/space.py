@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "NonFiniteError",
     "SpaceParams",
     "space_params",
     "lp_norm",
@@ -27,6 +28,11 @@ __all__ = [
     "convexity_residual",
     "ball_inequality_residual",
 ]
+
+
+class NonFiniteError(ValueError):
+    """A norm or projection met NaN or Inf: a run overflowed, or it was
+    given a non-finite vector."""
 
 
 def _check_p(p: float) -> float:
@@ -116,7 +122,7 @@ def _root(s, p: float):
 def _rescued(rows: np.ndarray, p: float) -> np.ndarray:
     """m * ||x / m|| for each row, m = max |x_i|, and 0 for a zero row."""
     if not np.isfinite(rows).all():
-        raise ValueError("lp_norm: input contains NaN or Inf")
+        raise NonFiniteError("lp_norm: input contains NaN or Inf")
     m = np.abs(rows).max(axis=-1, initial=0.0)
     live = m > 0.0
     out = np.zeros_like(m)
@@ -124,22 +130,20 @@ def _rescued(rows: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def lp_norm(x, p: float, axis: int = -1):
-    """lp norm along ``axis``; zero iff the slice is zero.
+def lp_norm(x, p: float):
+    """lp norm along the last axis; zero iff the row is zero.
 
     The power sum is ``x @ x`` or an einsum of products at p = 2 and 3,
     and a sum of |x|^p otherwise; its root is sqrt, cbrt or ``** (1/p)``.
     Only the rows whose sum falls outside the range where that root is
     exact (zero, subnormal, overflowed, NaN, or far from 1 for other p)
-    are examined.  One holding a NaN or Inf raises ``ValueError``; the
+    are examined.  One holding a NaN or Inf raises ``NonFiniteError``; the
     others are rescaled by their largest entry (Blue 1978), so every
     finite input gets its norm to rounding: ||(1e-200, 0)||_4 = 1e-200,
     ||(1e200, 1)||_4 = 1e200 and ||(10, 0)||_400 = 10.
     """
     p = _check_p(p)
     arr = np.asarray(x, dtype=float)
-    if axis != -1:
-        arr = np.moveaxis(arr, axis, -1)
     lo, hi = _trusted_sums(p)
     with np.errstate(over="ignore", invalid="ignore"):
         s = _power_sum(arr, p)
@@ -155,9 +159,9 @@ def lp_norm(x, p: float, axis: int = -1):
     return norm
 
 
-def norm_pow(x, sp: SpaceParams, axis: int = -1):
+def norm_pow(x, sp: SpaceParams):
     """||x||_p raised to the power type r of the space."""
-    return lp_norm(x, sp.p, axis=axis) ** sp.r
+    return lp_norm(x, sp.p) ** sp.r
 
 
 def _expand_weight(w):

@@ -161,6 +161,53 @@ class TestCertifyCommand:
         assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "sampler low must not exceed high" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflow_is_numeric_exit3(self, tmp_path, capsys):
+        # every sample maps to Inf: the run, not the config, is at fault
+        doc = {"p": 3, "dim": 2, "operator": {"kind": "scale", "factor": 1e307},
+               "property": "nonexpansive", "samples": 100}
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+
+
+class TestConfigVectors:
+    @pytest.mark.parametrize("command, doc, key", [
+        ("iterate", {"p": 2.0, "dim": 2, "operator": {"kind": "scale", "factor": 0.5}}, "x0"),
+        ("resolvent", resolvent_config({"kind": "scale", "factor": -1.0}, [1.0], [0.0, 0.0]), "x"),
+        ("semigroup", semigroup_config({"kind": "scale", "factor": -1.0}), "x"),
+        ("feasibility", feasibility_config(), "x0"),
+    ])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_vector_exit1_names_key(self, tmp_path, capsys, command, doc, key, bad):
+        doc = dict(doc)
+        doc[key] = [bad] + [0.0] * (doc["dim"] - 1)
+        cfg = write_config(tmp_path, "v.json", doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+
+    def test_non_finite_image_exit1(self, tmp_path, capsys):
+        # a single image is sampled as declared, so its NaN would reach the run
+        iso = {"kind": "swap", "i": 0, "j": 1,
+               "image": {"kind": "ball", "center": [float("nan"), 0.0, 0.0, 0.0], "radius": 1.0}}
+        cfg = write_config(tmp_path, "f.json", feasibility_config(isometries=[iso]))
+        assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "finite center" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, doc, key, value", [
+        ("resolvent", resolvent_config({"kind": "scale", "factor": -1.0}, [1.0], [3.0, 0.0]),
+         "tol", 1e-12),
+        ("semigroup", semigroup_config({"kind": "scale", "factor": -1.0}), "tol", 1e-8),
+        ("certify", certify_config(), "fix_sampler", {}),
+    ])
+    def test_removed_keys_rejected(self, tmp_path, capsys, command, doc, key, value):
+        # these values are constants of the library, not settings of a run
+        doc = dict(doc, **{key: value})
+        cfg = write_config(tmp_path, "k.json", doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
 
 class TestIterateCommand:
     def test_projection_instance(self, tmp_path):
@@ -387,9 +434,6 @@ class TestResolventCommand:
     @pytest.mark.parametrize("key, value, message", [
         ("lambdas", [float("nan")], "lam must be finite"),
         ("lambdas", [float("inf")], "lam must be finite"),
-        ("tol", 0.0, "tol must be finite and > 0"),
-        ("tol", -1e-12, "tol must be finite and > 0"),
-        ("tol", float("nan"), "tol must be finite and > 0"),
     ])
     def test_bad_number_exit1_names_field(self, tmp_path, capsys, key, value, message):
         doc = resolvent_config({"kind": "activation", "name": "tanh"}, [1.0], [3.0, 0.0])
@@ -459,11 +503,6 @@ class TestSemigroupCommand:
         cfg = self.config(tmp_path, t=t)
         assert main(["semigroup", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "semigroup t must be finite" in capsys.readouterr().err
-
-    def test_nan_tol_exit1(self, tmp_path, capsys):
-        cfg = self.config(tmp_path, tol=float("nan"))
-        assert main(["semigroup", "--config", cfg, "--out", str(tmp_path)]) == 1
-        assert "semigroup tol must be finite" in capsys.readouterr().err
 
 
 class TestFeasibilityCommand:

@@ -59,6 +59,13 @@ class TestProjectionFromIsometry:
         with pytest.raises(IsometryCheckError):
             projection_from_isometry(Scale(0.5), 2.0, 3)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_rejects_overflowing_candidate(self):
+        # U(U x) overflows to Inf, which no isometry does to a finite x
+        U = Affine(np.diag([1e300, 1.0]), np.zeros(2), p=3.0)
+        with pytest.raises(IsometryCheckError, match="overflowed"):
+            projection_from_isometry(U, 3.0, 2)
+
     def test_projection_certifies(self):
         spec = projection_from_isometry(SwapIsometry(0, 1), 3.0, 4)
         for T in (spec.projection, spec.complement):
@@ -170,7 +177,7 @@ class TestFixedSetEquality:
         P_u = ContractiveProjection(SwapIsometry(0, 1))
         P_v = ContractiveProjection(SwapIsometry(1, 2))
         T = compose([P_v, P_u], SP3)
-        S = convex_combination([P_u, P_v], [0.5, 0.5], SP3)
+        S = convex_combination([P_u, P_v], [0.5, 0.5])
         inside = np.array([2.0, 2.0, 2.0, 7.0])
         assert np.allclose(T(inside), inside)
         assert np.allclose(S(inside), inside)

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -55,7 +56,7 @@ def assert_same_meta(a, b):
 
 class TestApply:
     def test_truncate(self):
-        assert np.allclose(apply(Truncate(1), [3.0, 4.0, 5.0]), [3.0, 0.0, 0.0])
+        assert np.allclose(apply(Truncate(1, SP2), [3.0, 4.0, 5.0]), [3.0, 0.0, 0.0])
 
     def test_swap(self):
         assert np.allclose(apply(SwapIsometry(0, 1), [1.0, 0.0, 0.0, 0.0]), [0, 1, 0, 0])
@@ -65,9 +66,9 @@ class TestApply:
         assert np.allclose(T([2.0, 2.0]), [0.0, 0.0])
 
     def test_compose_is_right_to_left(self):
-        A, B = Truncate(1), SwapIsometry(0, 1)
+        A, B = Truncate(1, SP2), SwapIsometry(0, 1)
         x = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(apply(Compose((A, B)), x), apply(A, apply(B, x)))
+        assert np.allclose(apply(Compose((A, B), SP2), x), apply(A, apply(B, x)))
 
     def test_batched(self):
         T = SwapIsometry(0, 1)
@@ -80,7 +81,7 @@ class TestApply:
         with pytest.raises(DimensionMismatch):
             SwapIsometry(0, 3)([1.0, 2.0])
         with pytest.raises(DimensionMismatch):
-            Truncate(2)([1.0, 2.0])
+            Truncate(2, SP2)([1.0, 2.0])
         with pytest.raises(DimensionMismatch):
             Affine(np.eye(3), np.zeros(3), p=2.0)([1.0, 2.0])
 
@@ -98,7 +99,7 @@ class TestApply:
     )
     def test_convex_combo_linearity(self, xs, w, a):
         x = np.array(xs)
-        ops = [averaged(SwapIsometry(0, 1), a), Truncate(1), Scale(0.5)]
+        ops = [averaged(SwapIsometry(0, 1), a), Truncate(1, SP2), Scale(0.5)]
         weights = [w / 2, w / 2, 1.0 - w]
         T = ConvexCombo(tuple(ops), tuple(weights))
         direct = sum(wi * op(x) for wi, op in zip(weights, ops))
@@ -177,7 +178,7 @@ class TestCompose:
     def test_associativity(self):
         rng = np.random.default_rng(0)
         A = averaged(SwapIsometry(0, 1), 0.5)
-        B = Truncate(2)
+        B = Truncate(2, SP2)
         C = Scale(0.7)
         x = rng.uniform(-5, 5, size=(50, 3))
         left = compose([compose([A, B], SP2), C], SP2)
@@ -200,35 +201,35 @@ class TestCompose:
 class TestConvexCombination:
     def test_two_route_constants(self):
         ops = [averaged(SwapIsometry(0, 1), 0.3), averaged(SwapIsometry(1, 2), 0.6)]
-        T = convex_combination(ops, [0.5, 0.5], SP2)
+        T = convex_combination(ops, [0.5, 0.5])
         # firm route max = 0.6; averaged route 0.45 is smaller and wins
         assert T.meta.averaged == pytest.approx(0.45, rel=1e-15)
         assert T.meta.alpha_firm == pytest.approx(0.45, rel=1e-15)
 
     def test_single_unchanged(self):
-        T = convex_combination([averaged(SwapIsometry(0, 1), 0.3)], [1.0], SP2)
+        T = convex_combination([averaged(SwapIsometry(0, 1), 0.3)], [1.0])
         assert T.meta.alpha_firm == pytest.approx(0.3, rel=1e-15)
 
     def test_equal_alphas(self):
         sp = SP3
         ops = [truncation_operator(k, sp, 5) for k in (1, 2, 3)]
-        T = convex_combination(ops, [0.2, 0.3, 0.5], sp)
+        T = convex_combination(ops, [0.2, 0.3, 0.5])
         assert T.meta.alpha_firm == pytest.approx(0.2, rel=1e-15)
 
     def test_class_matches_factory(self):
         ops = [averaged(SwapIsometry(0, 1), 0.3), truncation_operator(2, SP3, 4)]
         T = ConvexCombo(tuple(ops), (0.25, 0.75))
         assert T.meta.alpha_firm == pytest.approx(0.3, rel=1e-15)
-        assert_same_meta(T.meta, convex_combination(ops, [0.25, 0.75], SP3).meta)
+        assert_same_meta(T.meta, convex_combination(ops, [0.25, 0.75]).meta)
 
     def test_weight_validation(self):
         ops = [Scale(0.5), Scale(0.25)]
         with pytest.raises(ValueError):
-            convex_combination(ops, [0.6, 0.6], SP2)
+            convex_combination(ops, [0.6, 0.6])
         with pytest.raises(ValueError):
-            convex_combination(ops, [1.2, -0.2], SP2)
+            convex_combination(ops, [1.2, -0.2])
         with pytest.raises(ValueError, match="weights"):
-            convex_combination(ops, [float("nan"), 1.0], SP2)
+            convex_combination(ops, [float("nan"), 1.0])
 
 
 class TestTruncation:
@@ -249,6 +250,16 @@ class TestTruncation:
     def test_class_matches_factory(self, p):
         sp = space_params(p)
         assert_same_meta(Truncate(2, sp, 5).meta, truncation_operator(2, sp, 5).meta)
+
+    def test_given_dim_is_exact(self):
+        # the fixed set is a 5-coordinate box, so a 7-vector is not in its space
+        from firmlp.dynamics import MonitorConfig, StopRule, picard_iterate
+
+        T = truncation_operator(2, SP3, 5)
+        with pytest.raises(DimensionMismatch):
+            T(np.ones(7))
+        with pytest.raises(DimensionMismatch):
+            picard_iterate(T, np.ones(7), StopRule(), MonitorConfig(SP3, auto_fejer=2))
 
     def test_range_check(self):
         with pytest.raises(ValueError):
@@ -446,6 +457,16 @@ class TestFixedPointMerging:
         assert S == AffineEqual(groups=((0, 1), (2, 3)))
         assert merge_fixed_point_sets([S]).groups == merge_fixed_point_sets([S, S]).groups
 
+    def test_pinned_zero_sign_is_canonical(self):
+        # 0.0 == -0.0, so a merge would keep whichever pin came first
+        assert math.copysign(1.0, AffineEqual(fixed=((0, -0.0),)).fixed[0][1]) == 1.0
+        a = AffineEqual(groups=((0, 1),), fixed=((2, -0.0),))
+        b = AffineEqual(groups=((1, 2),), fixed=((3, 0.0),))
+        c = AffineEqual(fixed=((0, 0.0),))
+        for sets in ([a, b, c], [c, b, a], [b, a]):
+            out = merge_fixed_point_sets(sets)
+            assert all(math.copysign(1.0, v) == 1.0 for _, v in out.fixed)
+
     def test_repeated_operand_is_examined_once(self, monkeypatch):
         # a semigroup product of n steps intersects n copies of one fixed set
         S = AffineEqual(groups=((0, 1),), fixed=((2, 0.5),))
@@ -520,12 +541,12 @@ class TestMetadataIsDerived:
         "build",
         [
             lambda kw: Scale(2.0, **kw),
-            lambda kw: Truncate(1, **kw),
+            lambda kw: Truncate(1, SP2, **kw),
             lambda kw: SwapIsometry(0, 1, **kw),
             lambda kw: Activation("relu", **kw),
             lambda kw: Affine(np.eye(2), np.zeros(2), p=2.0, **kw),
             lambda kw: Averaged(Scale(2.0), 0.5, **kw),
-            lambda kw: Compose((Scale(2.0),), **kw),
+            lambda kw: Compose((Scale(2.0),), SP2, **kw),
             lambda kw: ConvexCombo((Scale(2.0),), (1.0,), **kw),
             lambda kw: Resolvent(Scale(2.0), 1.0, p=2.0, **kw),
         ],
@@ -559,7 +580,6 @@ class TestJsonRoundTrip:
         yield convex_combination(
             [averaged(SwapIsometry(0, 1), 0.5), averaged(SwapIsometry(1, 2), 0.5)],
             [0.5, 0.5],
-            SP3,
         )
         yield ContractiveProjection(SwapIsometry(1, 2))
         yield Scale(-1.0)

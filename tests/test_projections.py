@@ -221,6 +221,14 @@ class TestSetValidation:
         with pytest.raises(ValueError):
             Halfspace(normal=np.zeros(3), offset=1.0)
 
+    def test_ball_and_halfspace_are_finite(self):
+        for center, radius in (([np.nan, 0.0], 1.0), ([np.inf, 0.0], 1.0), ([0.0, 0.0], np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                Ball(center=center, radius=radius)
+        for normal, offset in (([np.nan, 1.0], 0.0), ([np.inf, 1.0], 0.0), ([1.0, 0.0], np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                Halfspace(normal=normal, offset=offset)
+
     def test_affine_groups_disjoint(self):
         with pytest.raises(ValueError):
             AffineEqual(groups=((0, 1), (1, 2)))

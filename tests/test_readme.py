@@ -1,0 +1,36 @@
+"""The README's examples run as printed: its JSON configs through the CLI and
+its library example as a script."""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from firmlp.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def blocks(language):
+    return re.findall(rf"```{language}\n(.*?)```", README, flags=re.DOTALL)
+
+
+def test_readme_has_two_configs_and_one_library_example():
+    assert len(blocks("json")) == 2
+    assert len(blocks("python")) == 1
+
+
+@pytest.mark.parametrize("index, command", [(0, "certify"), (1, "feasibility")])
+def test_config_runs(tmp_path, index, command):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(blocks("json")[index])
+    json.loads(cfg.read_text())
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
+def test_library_example_runs(capsys):
+    exec(compile(blocks("python")[0], "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == repr(2.0 / 3.0)
+    assert lines[1].startswith("True ")
