@@ -146,20 +146,27 @@ def firm_residual(T, x, y, alpha: float, sp: SpaceParams):
     return _firm_slack(*_firm_terms(x, y, T(x), T(y), sp.p), alpha, sp)
 
 
-def _min_alpha_estimate(gain: np.ndarray, disp: np.ndarray, c_r: float):
-    """Smallest alpha certified by the sampled pairs.
+def _min_alpha_estimate(sep, disp, out, sp: SpaceParams):
+    """Smallest alpha certified by the sampled pairs, from the firm terms
+    over ||x - y|| (``sep`` is 1, or 0 at x = y).
 
     Solving the firm inequality for alpha pairwise gives
-    alpha >= 1/(1 + beta), beta = 2 gain / (c_r disp); pairs with zero
-    displacement are alpha-independent and skipped.  Returns (estimate,
-    number of degenerate pairs); the estimate is absent when some pair
-    admits no alpha in (0, 1).
+    alpha >= 1/(1 + beta), beta = gain / term, with the gain
+    sep^r - out^r and the displacement term (c_r/2) disp^r.  A pair whose
+    term is within the rounding of its gain, r eps max(sep^r, out^r) (out^r
+    carries r times the rounding of out), bounds no alpha: it is degenerate
+    and skipped, as is every pair with zero displacement.  Returns
+    (estimate, number of degenerate pairs); the estimate is absent when
+    some other pair admits no alpha in (0, 1).
     """
-    active = disp > 0.0
-    degenerate = int(np.size(disp) - np.count_nonzero(active))
+    out_r, disp_r = out**sp.r, disp**sp.r
+    gain = sep - out_r  # sep^r = sep
+    # (c_r/2) disp^r > r eps max(sep^r, out^r), with the scalars on one side
+    active = disp_r > (2.0 * sp.r * np.finfo(float).eps / sp.c_r) * np.maximum(sep, out_r)
+    degenerate = int(np.size(gain) - np.count_nonzero(active))
     if not np.any(active):
         return None, degenerate
-    beta = 2.0 * gain[active] / (c_r * disp[active])
+    beta = 2.0 * gain[active] / (sp.c_r * disp_r[active])
     if np.any(beta <= 0.0):
         return None, degenerate
     return float(np.max(1.0 / (1.0 + beta))), degenerate
@@ -197,7 +204,7 @@ def _firm_report(prop: str, x, y, tx, ty, alpha: float, sp: SpaceParams, tol: fl
     s = _separation(terms[0])
     sep, disp, out = (t / s for t in terms)
     rel = _firm_slack(sep, disp, out, alpha, sp)
-    est, degenerate = _min_alpha_estimate(sep - out**sp.r, disp**sp.r, sp.c_r)
+    est, degenerate = _min_alpha_estimate(sep, disp, out, sp)
     return _worst_pair_report(
         prop, x, y, rel, tol,
         estimated_min_alpha=est,

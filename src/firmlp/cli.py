@@ -99,19 +99,27 @@ _SAMPLER_KEYS = {
 _STOP_KEYS = {"step_tol": float, "max_iter": int}
 
 
-def _settings(doc: dict, keys: dict, what: str) -> dict:
+def _settings(doc: dict, keys: dict, names: dict | None = None) -> dict:
     """The entries of ``keys`` (key -> converter) that ``doc`` sets, each read
-    through ``json_value``; the library's defaults fill in the rest."""
-    _check_keys(doc, set(), set(keys), what)
-    return {key: json_value(doc, key, convert) for key, convert in keys.items() if key in doc}
+    through ``json_value`` and named as the library's parameter (``names``
+    maps the keys whose names differ); the library's defaults fill in the
+    rest."""
+    names = names or {}
+    return {
+        names.get(key, key): json_value(doc, key, convert)
+        for key, convert in keys.items()
+        if key in doc
+    }
 
 
 def _sampler_from(doc: dict, seed: int, dim: int) -> cert.Sampler:
-    return cert.Sampler(seed=seed, dim=dim, **_settings(doc, _SAMPLER_KEYS, "sampler"))
+    _check_keys(doc, set(), set(_SAMPLER_KEYS), "sampler")
+    return cert.Sampler(seed=seed, dim=dim, **_settings(doc, _SAMPLER_KEYS))
 
 
 def _stop_rule(doc: dict) -> dynamics.StopRule:
-    return dynamics.StopRule(**_settings(doc, _STOP_KEYS, "stop-rule"))
+    _check_keys(doc, set(), set(_STOP_KEYS), "stop-rule")
+    return dynamics.StopRule(**_settings(doc, _STOP_KEYS))
 
 
 def _finite_or_null(value):
@@ -157,24 +165,23 @@ def _write_run(csv_path: Path, summary_path: Path, traj: dynamics.Trajectory, **
 
 def _cmd_certify(out: Path, doc: dict, sp, dim: int, T, _) -> int:
     seed = json_value(doc, "seed", int, 0)
-    n = json_value(doc, "samples", int, 10_000)
-    tol = json_value(doc, "tol", float, cert.DEFAULT_TOL)
+    run = _settings(doc, {"samples": int, "tol": float}, {"samples": "n"})
     sampler = _sampler_from(doc.get("sampler", {}), seed, dim)
     prop = doc["property"]
     if prop == "nonexpansive":
-        report = cert.certify_nonexpansive(T, sp.p, sampler, n=n, tol=tol)
+        report = cert.certify_nonexpansive(T, sp.p, sampler, **run)
     elif prop == "alpha_firm":
         second = _sampler_from(doc.get("sampler", {}), seed + 1, dim)
         report = cert.certify_alpha_firm(
-            T, json_value(doc, "alpha", float), sp, (sampler, second), n=n, tol=tol
+            T, json_value(doc, "alpha", float), sp, (sampler, second), **run
         )
     elif prop == "quasi_alpha_firm":
         report = cert.certify_quasi_alpha_firm(
-            T, json_value(doc, "alpha", float), sp, None, sampler, n=n, tol=tol
+            T, json_value(doc, "alpha", float), sp, None, sampler, **run
         )
     elif prop == "bruck":
         grid = json_value(doc, "w_grid", lambda v: None if v is None else _floats(v), None)
-        report = cert.certify_bruck_firm(T, sp, sampler, w_grid=grid, n=n, tol=tol)
+        report = cert.certify_bruck_firm(T, sp, sampler, w_grid=grid, **run)
     else:
         raise ConfigError(f"unknown property {prop!r}")
     path = json_value(doc, "report", out.joinpath, "certify_report.json")
@@ -186,12 +193,10 @@ def _cmd_certify(out: Path, doc: dict, sp, dim: int, T, _) -> int:
 
 def _cmd_iterate(out: Path, doc: dict, sp, dim: int, T, x0) -> int:
     stop = _stop_rule(doc.get("stop", {}))
-    monitors = dynamics.MonitorConfig(
-        sp=sp,
-        auto_fejer=json_value(doc, "n_fejer", int, 0),
-        seed=json_value(doc, "seed", int, 0),
-        track_fix_projections=bool(doc.get("track_fix_projections", False)),
-    )
+    monitors = dynamics.MonitorConfig(sp=sp, **_settings(
+        doc, {"n_fejer": int, "seed": int, "track_fix_projections": bool},
+        {"n_fejer": "auto_fejer"},
+    ))
     csv_path = json_value(doc, "csv", out.joinpath, "trajectory.csv")
     summary_path = json_value(doc, "summary", out.joinpath, "summary.json")
     try:
@@ -206,14 +211,21 @@ def _cmd_iterate(out: Path, doc: dict, sp, dim: int, T, x0) -> int:
 
 
 def _cmd_resolvent(out: Path, doc: dict, sp, dim: int, F, x) -> int:
-    rows = []
-    for lam in json_value(doc, "lambdas", _floats):
-        y = dynamics.resolvent_apply(F, lam, x, sp)
-        rows.append({"lam": lam, "value": y.tolist(),
-                     "displacement": float(lp_norm(y - x, sp.p))})
+    lambdas = json_value(doc, "lambdas", _floats)
     path = json_value(doc, "report", out.joinpath, "resolvent.json")
-    _write_json(path, {"p": sp.p, "x": x.tolist(), "results": rows})
-    print(f"resolvent: {len(rows)} parameter values -> {path}")
+    report = {"p": sp.p, "x": x.tolist(), "results": []}
+    for lam in lambdas:
+        try:
+            y = dynamics.resolvent_apply(F, lam, x, sp)
+            displacement = float(lp_norm(y - x, sp.p))
+        except (ResolventDiverged, NonFiniteError) as exc:
+            # keep the rows that succeeded, as iterate and feasibility do
+            _write_json(path, report | {"error": str(exc)})
+            print(f"numeric failure: {exc} -> {path}", file=sys.stderr)
+            return EXIT_NUMERIC
+        report["results"].append({"lam": lam, "value": y.tolist(), "displacement": displacement})
+    _write_json(path, report)
+    print(f"resolvent: {len(lambdas)} parameter values -> {path}")
     return EXIT_OK
 
 
@@ -251,20 +263,15 @@ def _cmd_semigroup(out: Path, doc: dict, sp, dim: int, F, x) -> int:
 def _cmd_feasibility(out: Path, doc: dict, sp, dim: int, specs, x0) -> int:
     stop = _stop_rule(doc.get("stop", {}))
     mode = doc.get("mode", "alternating")
-    seed = json_value(doc, "seed", int, 0)
-    n_fejer = json_value(doc, "n_fejer", int, 5)
+    monitors = _settings(doc, {"n_fejer": int, "seed": int})
     csv_path = json_value(doc, "csv", out.joinpath, "feasibility.csv")
     summary_path = json_value(doc, "summary", out.joinpath, "feasibility.json")
     try:
         if mode == "alternating":
-            traj = feasibility.alternating_projections(
-                specs, x0, stop, sp, n_fejer=n_fejer, seed=seed
-            )
+            traj = feasibility.alternating_projections(specs, x0, stop, sp, **monitors)
         elif mode == "averaged":
             weights = json_value(doc, "weights", _floats, [1.0 / len(specs)] * len(specs))
-            traj = feasibility.averaged_projections(
-                specs, weights, x0, stop, sp, n_fejer=n_fejer, seed=seed
-            )
+            traj = feasibility.averaged_projections(specs, weights, x0, stop, sp, **monitors)
         else:
             raise ConfigError(f"unknown mode {mode!r}")
     except feasibility.EmptyIntersectionError as exc:

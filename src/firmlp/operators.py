@@ -32,17 +32,28 @@ and identity atoms; averages, compositions and convex combinations of
 affine nodes; closed-form resolvents) set ``affine``.  ``affine_form`` then
 reads their matrix and offset off the map itself: the offset is T(0), and
 the matrix is the same tree evaluated with every offset dropped
-(``_apply(x, linear=True)``), so no offset ever mixes into it.
-``Resolvent`` uses that form to replace its iteration by one cached linear
-solve.  Every other resolvent iterates, and its stop rule is relative to
-each row's own scale, so it holds for inputs of any size.
+(``_apply(x, linear=True)``), so no offset ever mixes into it.  The form is
+computed once per dimension and cached on the node.
+
+Evaluation compiles affine subtrees.  A compound affine node (an average,
+composition or convex combination with ``affine`` set) evaluates as
+``x @ W.T + b`` from its cached form, at the root and wherever it sits in
+a nonlinear tree (the averaged layers of ``neural_network``); the linear
+channel drops ``b``.  A composition of n copies of one node (a semigroup
+product) gets its form by squaring the augmented matrix [[W, b], [0, 1]],
+about 2 log2(n) small products instead of walking n nodes.  A compiled
+value that is not finite is evaluated again by the walk (``_apply``), so
+every failure raises what the walk raises.  ``Resolvent``'s cached form is
+its closed form, one linear solve replacing its iteration.  Every other
+resolvent iterates on its inner map's walk, and its stop rule is relative
+to each row's own scale, so it holds for inputs of any size.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,26 +137,52 @@ class OperatorExpr:
     """Base class; subclasses implement ``_apply`` on (..., d) arrays.
 
     Each subclass constructor sets ``meta``, ``affine`` when the node is
-    affine on its input and, where the node restricts the dimension,
+    affine on its input, ``compiled`` when it evaluates through its cached
+    form and, where the node restricts the dimension,
     ``dims`` = (minimum dimension, exact dimension or None).
     """
 
     meta: OperatorMeta = _UNKNOWN
     affine: bool = False
+    compiled: bool = False
     dims: tuple[int, int | None] = (1, None)
 
     def _apply(self, x: np.ndarray, linear: bool = False) -> np.ndarray:
-        """The map on (..., d) arrays; with ``linear`` (true only on affine
-        nodes) its linear part, every offset in the tree dropped."""
+        """The map on (..., d) arrays, one node deep (operands through
+        ``_eval``); with ``linear`` (true only on affine nodes) its linear
+        part, every offset in the tree dropped."""
         raise NotImplementedError
+
+    def _eval(self, x: np.ndarray, linear: bool = False) -> np.ndarray:
+        """The value as ``apply`` and parent nodes take it: a compiled node's
+        cached form, or ``_apply`` where that value is not finite (so a
+        failure raises what the walk raises); ``_apply`` on any other node."""
+        if self.compiled:
+            W, b = self.affine_form(x.shape[-1])
+            y = x @ W.T
+            if not linear:
+                y += b
+            if np.isfinite(y).all():
+                return y
+        return self._apply(x, linear)
 
     def affine_form(self, d: int) -> tuple[np.ndarray, np.ndarray] | None:
         """(W, b) with self(x) = W x + b on dimension d, or None when the
-        node is not known to be affine.  W is the map with its offsets
-        dropped, applied to the unit vectors, and b = self(0); no offset
-        enters W, whatever its size or where it sits in the tree."""
+        node is not known to be affine; computed once per dimension and
+        cached on the node (read-only)."""
         if not self.affine:
             return None
+        cache = self.__dict__.setdefault("_forms", {})
+        if d not in cache:
+            cache[d] = self._compile(d)
+            for a in cache[d]:
+                a.flags.writeable = False
+        return cache[d]
+
+    def _compile(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """The form rule: W is the map with its offsets dropped, applied to
+        the unit vectors, and b = self(0); no offset enters W, whatever its
+        size or where it sits in the tree."""
         return self._apply(np.eye(d), linear=True).T, self._apply(np.zeros(d))
 
     def apply(self, x) -> np.ndarray:
@@ -158,7 +195,7 @@ class OperatorExpr:
             raise DimensionMismatch(f"{type(self).__name__} requires dim {exact}, got {d}")
         if d < lo:
             raise DimensionMismatch(f"{type(self).__name__} requires dim >= {lo}, got {d}")
-        return self._apply(x)
+        return self._eval(x)
 
     __call__ = apply
 
@@ -354,7 +391,7 @@ class Averaged(OperatorExpr):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("averaging constant must lie in (0, 1)")
         self.dims = self.inner.dims
-        self.affine = self.inner.affine
+        self.affine = self.compiled = self.inner.affine
         proven = self.inner.meta.proven_nonexpansive
         self.meta = OperatorMeta(
             proven_nonexpansive=proven,
@@ -365,7 +402,7 @@ class Averaged(OperatorExpr):
         )
 
     def _apply(self, x, linear=False):
-        return (1.0 - self.alpha) * x + self.alpha * self.inner._apply(x, linear)
+        return (1.0 - self.alpha) * x + self.alpha * self.inner._eval(x, linear)
 
 
 def averaged(R: OperatorExpr, alpha: float) -> Averaged:
@@ -443,7 +480,7 @@ class Compose(OperatorExpr):
             raise ValueError("compose requires at least one operator")
         self.ops = ops
         self.dims = _merged_dims(ops)
-        self.affine = all(op.affine for op in ops)
+        self.affine = self.compiled = all(op.affine for op in ops)
         alphas = [op.meta.alpha_firm for op in ops]
         firm = None
         if all(a is not None for a in alphas):
@@ -457,8 +494,20 @@ class Compose(OperatorExpr):
 
     def _apply(self, x, linear=False):
         for op in reversed(self.ops):
-            x = op._apply(x, linear)
+            x = op._eval(x, linear)
         return x
+
+    def _compile(self, d):
+        op, n = self.ops[0], len(self.ops)
+        if n == 1 or any(o is not op for o in self.ops):
+            return super()._compile(d)
+        # n copies of one node: the n-th power of [[W, b], [0, 1]] by
+        # squaring; its zero row keeps b out of the W block
+        W, b = op.affine_form(d)
+        aug = np.eye(d + 1)
+        aug[:d, :d], aug[:d, d] = W, b
+        power = np.linalg.matrix_power(aug, n)
+        return power[:d, :d].copy(), power[:d, d].copy()
 
 
 @dataclass(eq=False)
@@ -483,7 +532,7 @@ class ConvexCombo(OperatorExpr):
         self.ops = ops
         self.weights = tuple(float(v) for v in w)
         self.dims = _merged_dims(ops)
-        self.affine = all(op.affine for op in ops)
+        self.affine = self.compiled = all(op.affine for op in ops)
         alphas = [op.meta.alpha_firm for op in ops]
         firm = max(alphas) if all(a is not None for a in alphas) else None
         avgs = [op.meta.averaged for op in ops]
@@ -494,9 +543,9 @@ class ConvexCombo(OperatorExpr):
         self.meta = _combined_meta(ops, firm, avg, active)
 
     def _apply(self, x, linear=False):
-        out = self.weights[0] * self.ops[0]._apply(x, linear)
+        out = self.weights[0] * self.ops[0]._eval(x, linear)
         for w, op in zip(self.weights[1:], self.ops[1:]):
-            out = out + w * op._apply(x, linear)
+            out = out + w * op._eval(x, linear)
         return out
 
 
@@ -512,9 +561,10 @@ class Resolvent(OperatorExpr):
 
     Closed form: when lam > 0 and F is a proven-nonexpansive affine map
     F y = W y + b (its ``affine_form``), the value is y = A^(-1) (x + lam b)
-    with A = I + lam (I - W).  A is inverted once per dimension and cached on
-    the node, so every later evaluation is one matrix product, whatever lam
-    and the scale of x.  Its forward error is about cond(A) eps relative to
+    with A = I + lam (I - W).  (A^(-1), lam A^(-1) b) is the node's own
+    affine form, computed once per dimension and cached on the node, so
+    every later evaluation is one matrix product, whatever lam and the
+    scale of x.  Its forward error is about cond(A) eps relative to
     ||x||, and cond(A) grows like lam (on the averaged two-swap chain at
     lam = 1e6, cond(A) = 1.2e6 and the error against an exact rational
     solve is at most 2.4e-11).  An A that is singular in float64 (the
@@ -522,7 +572,9 @@ class Resolvent(OperatorExpr):
     ``ResolventDiverged``.
 
     Iteration: every other inner map (nonlinear, or without a certificate;
-    building the node warns for the latter) runs the contraction above, with
+    building the node warns for the latter) runs the contraction above on
+    the inner map's ``_apply`` (its root walked, its compound operands
+    compiled), with
     factor q = lam/(1+lam) when F is nonexpansive.  A step is measured by
     its largest entry, exact at every scale.  Each row of a batch is done
     when its step is within ``tol * scale / d^(1/p)``, tol = ``RESOLVENT_TOL``
@@ -539,7 +591,6 @@ class Resolvent(OperatorExpr):
     inner: OperatorExpr
     lam: float
     p: float
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.lam = float(self.lam)
@@ -561,25 +612,26 @@ class Resolvent(OperatorExpr):
             fixed_points=self.inner.meta.fixed_points if proven else None,
         )
 
+    def _compile(self, d):
+        """(A^(-1), lam A^(-1) b); the identity at lam = 0."""
+        if self.lam == 0.0:
+            return np.eye(d), np.zeros(d)
+        W, b = self.inner.affine_form(d)
+        eye = np.eye(d)
+        # I - W first: it cancels exactly on vectors W fixes exactly,
+        # so A keeps them fixed; (1+lam) I - lam W would round them
+        try:
+            M = np.linalg.inv(eye + self.lam * (eye - W))
+        except np.linalg.LinAlgError as exc:
+            raise ResolventDiverged(
+                f"resolvent matrix I + lam (I - W) is singular in float64 (lam={self.lam})"
+            ) from exc
+        return M, self.lam * (M @ b)
+
     def _closed_form(self, d):
-        """(A^(-1), lam A^(-1) b) when the closed form applies, else None;
-        computed once per dimension d."""
-        if d not in self._cache:
-            form = None
-            if self.lam > 0.0 and self.affine:
-                W, b = self.inner.affine_form(d)
-                eye = np.eye(d)
-                # I - W first: it cancels exactly on vectors W fixes exactly,
-                # so A keeps them fixed; (1+lam) I - lam W would round them
-                try:
-                    M = np.linalg.inv(eye + self.lam * (eye - W))
-                except np.linalg.LinAlgError as exc:
-                    raise ResolventDiverged(
-                        f"resolvent matrix I + lam (I - W) is singular in float64 (lam={self.lam})"
-                    ) from exc
-                form = M, self.lam * (M @ b)
-            self._cache[d] = form
-        return self._cache[d]
+        """The cached (A^(-1), lam A^(-1) b) when the closed form applies,
+        else None."""
+        return self.affine_form(d)
 
     def _apply(self, x, linear=False):
         if self.lam == 0.0:

@@ -13,6 +13,7 @@ from firmlp.certify import (
     report_to_json,
 )
 from firmlp.operators import (
+    Activation,
     OperatorMeta,
     Scale,
     SwapIsometry,
@@ -139,6 +140,17 @@ class TestCertifyAlphaFirm:
         assert rep.degenerate_pairs == 100
         assert rep.estimated_min_alpha is None
         assert rep.passed
+
+    def test_rounding_level_pairs_are_degenerate(self):
+        # relu at p = 16 leaves pairs whose displacement term is ~1e-20 while
+        # their gain 1 - ||Tx - Ty||^16 / ||x - y||^16 rounds to 0: such a
+        # pair bounds no alpha and must not void the estimate
+        sp16 = space_params(16.0)
+        samplers = tuple(Sampler(seed=s, dim=4, low=-3.0, high=3.0) for s in (0, 1))
+        rep = certify_alpha_firm(Activation("relu"), 0.5, sp16, samplers, n=100_000)
+        assert rep.passed
+        assert rep.estimated_min_alpha is not None and rep.estimated_min_alpha <= 0.5
+        assert rep.degenerate_pairs > 0
 
     def test_report_json(self):
         T = truncation_operator(1, SP3, 4)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from firmlp import certify, dynamics, feasibility
 from firmlp.cli import main
 
 
@@ -431,6 +432,21 @@ class TestResolventCommand:
         assert main(["resolvent", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_failure_keeps_earlier_rows_exit3(self, tmp_path, capsys):
+        # lam = 1 succeeds; at lam = 1e17 the iteration cannot contract
+        operator = {"kind": "compose", "ops": [
+            {"kind": "scale", "factor": -1.0}, {"kind": "activation", "name": "tanh"},
+        ]}
+        cfg = write_config(tmp_path, "r.json", resolvent_config(operator, [1.0, 1e17], [3.0, 0.0]))
+        assert main(["resolvent", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+        out = json.loads((tmp_path / "resolvent.json").read_text())
+        assert "rounds to 1" in out["error"]
+        [row] = out["results"]
+        y = np.asarray(row["value"])
+        assert row["lam"] == 1.0
+        assert y + (y + np.tanh(y)) == pytest.approx([3.0, 0.0], rel=1e-10, abs=1e-12)
+
     @pytest.mark.parametrize("key, value, message", [
         ("lambdas", [float("nan")], "lam must be finite"),
         ("lambdas", [float("inf")], "lam must be finite"),
@@ -563,6 +579,37 @@ class TestFeasibilityCommand:
         cfg = write_config(tmp_path, "f.json", doc)
         assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
+
+
+class TestLibraryDefaults:
+    """A key a config leaves out takes the library's default, whatever it is."""
+
+    def test_certify_samples(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(certify.certify_alpha_firm, "__defaults__", (123, certify.DEFAULT_TOL))
+        doc = certify_config()
+        del doc["samples"]
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "certify_report.json").read_text())["samples"] == 123
+
+    def test_feasibility_monitors(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(feasibility.alternating_projections, "__defaults__", (2, 0))
+        doc = feasibility_config()
+        del doc["n_fejer"], doc["seed"]
+        cfg = write_config(tmp_path, "f.json", doc)
+        assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "feasibility.json").read_text())
+        assert len(summary["fejer_final_distances"]) == 2
+
+    def test_iterate_monitors(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dynamics.MonitorConfig.__init__, "__defaults__", (None, 2, 0, True))
+        doc = {"p": 3.0, "dim": 4, "operator": TWO_SWAPS, "x0": [1.0, 0.0, 0.0, 0.0]}
+        cfg = write_config(tmp_path, "i.json", doc)
+        assert main(["iterate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert len(summary["fejer_final_distances"]) == 2
+        header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
+        assert "proj_x_1" in header
 
 
 class TestPackagedConfigs:

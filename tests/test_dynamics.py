@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from firmlp.operators import (
     ContractiveProjection,
     ConvexCombo,
     DimensionMismatch,
+    OperatorExpr,
     Resolvent,
     ResolventDiverged,
     Scale,
@@ -33,8 +35,11 @@ from firmlp.operators import (
     Truncate,
     averaged,
     compose,
+    convex_combination,
     guaranteed_nonexpansive_affine,
     identity,
+    neural_network,
+    stable_activation,
 )
 from firmlp.space import lp_norm, space_params
 
@@ -520,6 +525,139 @@ class TestResolventClosedForm:
         T = semigroup_product(two_swap_chain(SP3), 1.0, 64, SP3)
         T(np.array([1.0, 0.0, 0.0, 0.0]))
         assert inv_calls == [(4, 4)]
+
+
+def walk(T, x):
+    """T evaluated node by node: no node reads its cached form (a resolvent
+    keeps its closed form, which is its own evaluation)."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(OperatorExpr, "_eval", lambda self, x, linear=False: self._apply(x, linear))
+        return T._apply(np.asarray(x, dtype=float))
+
+
+def assert_rows_close(out, ref, rel):
+    # each row's largest error against its largest entry
+    scale = np.max(np.abs(ref), axis=-1)
+    assert np.all(np.max(np.abs(out - ref), axis=-1) <= rel * scale)
+
+
+def averaged_swap_chain(dim, sp):
+    return compose([averaged(SwapIsometry(i, i + 1), 0.5) for i in range(dim - 1)], sp)
+
+
+def network(dim, sp):
+    rng = np.random.default_rng(4)
+    layers = [
+        averaged(
+            guaranteed_nonexpansive_affine(
+                rng.normal(size=(dim, dim)) * 2.0, rng.normal(size=dim) * 0.5, sp.p
+            ),
+            0.5,
+        )
+        for _ in range(3)
+    ]
+    return neural_network(layers, stable_activation("relu"), sp)
+
+
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """(id(node), d) -> number of times the node computed its form."""
+    calls, running = Counter(), set()
+    for cls in (OperatorExpr, Compose, Resolvent):
+
+        def counting(self, d, original=cls.__dict__["_compile"]):
+            key = (id(self), d)
+            if key in running:  # Compose reaching the base rule through super()
+                return original(self, d)
+            calls[key] += 1
+            running.add(key)
+            try:
+                return original(self, d)
+            finally:
+                running.discard(key)
+
+        monkeypatch.setattr(cls, "_compile", counting)
+    return calls
+
+
+class TestCompiledEvaluation:
+    """Compound affine nodes evaluate through one cached form per dimension."""
+
+    D = 4
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("name", sorted(AFFINE_CASES))
+    def test_affine_cases_match_walk(self, name, batched):
+        x = np.random.default_rng(3).normal(size=(7, self.D) if batched else self.D)
+        for T in (AFFINE_CASES[name](SP3, self.D), Averaged(AFFINE_CASES[name](SP3, self.D), 0.3)):
+            assert_rows_close(T(x), walk(T, x), 1e-13)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("build", [
+        lambda: averaged_swap_chain(4, SP3),
+        lambda: averaged_swap_chain(8, SP3),
+        lambda: compose([ContractiveProjection(SwapIsometry(i, i + 1)) for i in range(6)], SP3),
+        lambda: convex_combination([ContractiveProjection(SwapIsometry(i, i + 1)) for i in range(6)], [1 / 6] * 6),
+        lambda: network(16, SP3),
+    ], ids=["swaps_d4", "swaps_d8", "projections_d8", "averaged_projections_d8", "network_d16"])
+    def test_trees_match_walk(self, build, batched):
+        T = build()
+        d = T.dims[1] or 8
+        x = np.random.default_rng(5).uniform(-10.0, 10.0, size=(50, d) if batched else d)
+        assert_rows_close(T(x), walk(T, x), 1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 1000, 1024])
+    @pytest.mark.parametrize("generator", [
+        lambda: two_swap_chain(SP3),
+        lambda: Scale(-1.0),
+    ], ids=["two_swaps", "negation"])
+    def test_squared_product_matches_walk(self, monkeypatch, generator, n):
+        T = semigroup_product(generator(), 1.0, n, SP3)
+        x = np.random.default_rng(6).normal(size=(3, self.D))
+        ref = walk(T, x)
+        steps = []
+        original = Resolvent._apply
+        monkeypatch.setattr(Resolvent, "_apply", lambda *a, **k: steps.append(1) or original(*a, **k))
+        out = T(x)
+        assert not steps  # the product is one form: no step is evaluated
+        assert_rows_close(out, ref, 1e-13)
+        assert_rows_close(T(x[0]), ref[0], 1e-13)
+
+    def test_form_computed_once_per_dimension(self, compile_calls):
+        net = network(self.D, SP3)  # 3 compiled layers inside a nonlinear chain
+        chain = averaged_swap_chain(self.D, SP3)  # itself and its 3 averaged swaps
+        # the product, its resolvent step, the step's chain and its 2 averages
+        product = semigroup_product(two_swap_chain(SP3), 1.0, 16, SP3)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            net(rng.normal(size=self.D))
+            net(rng.normal(size=(5, self.D)))
+            for d in (self.D, 6):
+                chain(rng.normal(size=d))
+                chain(rng.normal(size=(5, d)))
+                product(rng.normal(size=d))
+                product(rng.normal(size=(5, d)))
+        assert set(compile_calls.values()) == {1}
+        assert len(compile_calls) == 3 + 2 * 4 + 2 * 5
+
+    @pytest.mark.parametrize("build", [
+        lambda R: compose([SwapIsometry(0, 1), R], SP3),
+        lambda R: compose([R, R], SP3),
+        lambda R: convex_combination([R, SwapIsometry(0, 1)], [0.95, 0.05]),
+    ], ids=["compose", "product", "convex_combo"])
+    def test_overflowing_resolvent_raises_as_walk(self, build):
+        # R(x) = x/1.5 + (1e308, 0) overflows at x = (1.5e308, 0), and so does
+        # each tree's value: the compiled value is not finite, and the walk
+        # raises what it raises without compiled nodes
+        R = Resolvent(Affine(0.5 * np.eye(2), np.array([1.5e308, 0.0]), p=3.0), 1.0, p=3.0)
+        T, x = build(R), np.array([1.5e308, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ResolventDiverged, match="not finite"):
+                walk(T, x)
+            with pytest.raises(ResolventDiverged, match="not finite"):
+                T(x)
+            with pytest.raises(ResolventDiverged, match="not finite"):
+                picard_iterate(T, x, StopRule(), MonitorConfig(SP3))
 
 
 class TestSemigroup:
