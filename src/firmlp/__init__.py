@@ -45,10 +45,8 @@ from .operators import (
     Compose,
     ConvexCombo,
     Resolvent,
-    ContractiveProjection,
     DimensionMismatch,
     identity,
-    apply,
     averaged,
     compose,
     convex_combination,
@@ -57,6 +55,7 @@ from .operators import (
     neural_network,
     guaranteed_nonexpansive_affine,
     contractive_projection,
+    resolvent_operator,
     operator_to_json,
     operator_from_json,
 )
@@ -79,7 +78,6 @@ from .dynamics import (
     picard_iterate,
     asymptotic_regularity_report,
     resolvent_apply,
-    resolvent_operator,
     semigroup_product,
     semigroup_limit_estimate,
     trajectory_to_csv,

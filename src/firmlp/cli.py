@@ -1,7 +1,7 @@
 """Batch experiment runner.
 
 Subcommands: certify, iterate, resolvent, semigroup, feasibility.  Each
-reads a JSON config (selected keys overridable from the command line),
+reads a JSON config (its seed overridable from the command line),
 runs the corresponding module and writes CSV/JSON under --out.  Outputs are
 byte-deterministic for a fixed config and seed: CSV numbers carry 17
 significant digits and JSON documents are dumped with sorted keys.
@@ -23,7 +23,8 @@ import numpy as np
 
 from . import certify as cert
 from . import dynamics, feasibility
-from .operators import DimensionMismatch, ResolventDiverged, json_value, operator_from_json
+from .operators import DimensionMismatch, ResolventDiverged, operator_from_json
+from .projections import json_bool, json_keys, json_value
 from .space import NonFiniteError, lp_norm, space_params
 
 __all__ = ["main"]
@@ -42,18 +43,12 @@ def _floats(values) -> list[float]:
     return [float(v) for v in values]
 
 
-def _load_config(path: str, overrides: dict) -> dict:
+def _load_config(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    for key, val in overrides.items():
-        if val is not None:
-            doc[key] = val
-    return doc
 
 
 def _check_keys(doc, required: set, optional: set, what: str = "config") -> None:
@@ -62,17 +57,17 @@ def _check_keys(doc, required: set, optional: set, what: str = "config") -> None
     missing = required - doc.keys()
     if missing:
         raise ConfigError(f"missing {what} keys: {sorted(missing)}")
-    unknown = doc.keys() - required - optional
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    json_keys(doc, required | optional, what)
 
 
 def _prepare(args, required: set, optional: set, vector: str | None):
     """Load the config, check its keys, parse the space and dimension, build
     the operator (for feasibility, the projection specs) and check the shape
     of the input vector, in that order; returns (doc, sp, dim, op, vector)."""
-    doc = _load_config(args.config, {"p": args.p, "dim": args.dim, "seed": args.seed})
+    doc = _load_config(args.config)
     _check_keys(doc, required | {"p", "dim"}, optional | {"seed"})
+    if args.seed is not None:
+        doc["seed"] = args.seed
     sp = space_params(json_value(doc, "p", float))
     dim = json_value(doc, "dim", int)
     if dim < 1:
@@ -194,7 +189,7 @@ def _cmd_certify(out: Path, doc: dict, sp, dim: int, T, _) -> int:
 def _cmd_iterate(out: Path, doc: dict, sp, dim: int, T, x0) -> int:
     stop = _stop_rule(doc.get("stop", {}))
     monitors = dynamics.MonitorConfig(sp=sp, **_settings(
-        doc, {"n_fejer": int, "seed": int, "track_fix_projections": bool},
+        doc, {"n_fejer": int, "seed": int, "track_fix_projections": json_bool},
         {"n_fejer": "auto_fejer"},
     ))
     csv_path = json_value(doc, "csv", out.joinpath, "trajectory.csv")
@@ -325,8 +320,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--dim", type=int, default=None, help="override config dim")
-        p.add_argument("--p", type=float, default=None, help="override config p")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

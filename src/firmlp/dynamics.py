@@ -45,7 +45,6 @@ __all__ = [
     "AsymptoticRegularityReport",
     "asymptotic_regularity_report",
     "resolvent_apply",
-    "resolvent_operator",
     "semigroup_product",
     "SemigroupEstimate",
     "semigroup_limit_estimate",

@@ -274,6 +274,8 @@ def load_instance_json(doc: dict, sp: SpaceParams, dim: int) -> list[Contractive
     given as swap index pairs or explicit matrices, each optionally with a
     declared "image" convex-set document used by the intersection probe
     (needed when the image cannot be derived from the isometry)."""
+    if not doc:
+        raise ValueError("'isometries' lists no isometry")
     specs = []
     for k, iso_doc in enumerate(doc):
         if not isinstance(iso_doc, dict) or "kind" not in iso_doc:

@@ -64,7 +64,12 @@ from .projections import (
     AffineEqual,
     Box,
     _array,
+    json_bool,
+    json_field,
+    json_keys,
+    json_read,
     json_value,
+    json_write,
     merge_fixed_point_sets,
 )
 from .space import SpaceParams
@@ -82,9 +87,7 @@ __all__ = [
     "Compose",
     "ConvexCombo",
     "Resolvent",
-    "ContractiveProjection",
     "identity",
-    "apply",
     "averaged",
     "compose",
     "convex_combination",
@@ -93,6 +96,7 @@ __all__ = [
     "neural_network",
     "guaranteed_nonexpansive_affine",
     "contractive_projection",
+    "resolvent_operator",
     "operator_to_json",
     "operator_from_json",
 ]
@@ -200,9 +204,13 @@ class OperatorExpr:
     __call__ = apply
 
 
-def apply(T: OperatorExpr, x) -> np.ndarray:
-    """Evaluate the expression tree at x (batched along leading axes)."""
-    return T.apply(x)
+def _operand(doc, sp, p, dim):
+    # through the module-level name, so a wrapper of it sees every operand
+    return operator_from_json(doc, sp, dim)
+
+
+def _operands(docs, sp, p, dim):
+    return [operator_from_json(doc, sp, dim) for doc in docs]
 
 
 @dataclass(eq=False)
@@ -215,8 +223,9 @@ class Affine(OperatorExpr):
     ``p`` has no default: a bound at one p certifies nothing at another.
     """
 
-    W: np.ndarray
-    b: np.ndarray
+    kind = "affine"
+    W: np.ndarray = json_field(_array)
+    b: np.ndarray = json_field(lambda b: None if b is None else _array(b), json_default=None)
     p: float
 
     def __post_init__(self):
@@ -253,7 +262,8 @@ def interpolation_norm_bound(W: np.ndarray, p: float) -> float:
 class Scale(OperatorExpr):
     """x -> factor * x."""
 
-    factor: float
+    kind = "scale"
+    factor: float = json_field(float)
 
     def __post_init__(self):
         self.factor = float(self.factor)
@@ -282,7 +292,8 @@ class Truncate(OperatorExpr):
     only and carries its coordinate-subspace fixed set.
     """
 
-    keep: int
+    kind = "truncate"
+    keep: int = json_field(int, key="k")
     sp: SpaceParams
     dim: int | None = None
 
@@ -314,8 +325,9 @@ class Truncate(OperatorExpr):
 class SwapIsometry(OperatorExpr):
     """Exchange coordinates i and j (0-based); an isometry with U^2 = Id."""
 
-    i: int
-    j: int
+    kind = "swap"
+    i: int = json_field(int)
+    j: int = json_field(int)
 
     def __post_init__(self):
         self.i, self.j = int(self.i), int(self.j)
@@ -355,7 +367,8 @@ class Activation(OperatorExpr):
     1/2-averaged and 1/2-firm.
     """
 
-    name: str
+    kind = "activation"
+    name: str = json_field(str)
 
     def __post_init__(self):
         if self.name not in _ACTIVATIONS:
@@ -383,8 +396,9 @@ def stable_activation(name: str) -> Activation:
 class Averaged(OperatorExpr):
     """(1 - alpha) Id + alpha * inner."""
 
-    inner: OperatorExpr
-    alpha: float
+    kind = "averaged"
+    inner: OperatorExpr = json_field(_operand, nested=True)
+    alpha: float = json_field(float)
 
     def __post_init__(self):
         self.alpha = float(self.alpha)
@@ -418,9 +432,6 @@ def contractive_projection(U: OperatorExpr) -> Averaged:
     sample-checked builder.
     """
     return Averaged(U, 0.5)
-
-
-ContractiveProjection = contractive_projection
 
 
 def _merged_dims(ops) -> tuple[int, int | None]:
@@ -471,7 +482,8 @@ class Compose(OperatorExpr):
     firm constant is kept.
     """
 
-    ops: tuple
+    kind = "compose"
+    ops: tuple = json_field(_operands, nested=True)
     sp: SpaceParams
 
     def __post_init__(self):
@@ -519,8 +531,9 @@ class ConvexCombo(OperatorExpr):
     sets intersect over operands with positive weight.
     """
 
-    ops: tuple
-    weights: tuple
+    kind = "convex_combo"
+    ops: tuple = json_field(_operands, nested=True)
+    weights: tuple = json_field(_array)
 
     def __post_init__(self):
         ops = tuple(self.ops)
@@ -588,8 +601,9 @@ class Resolvent(OperatorExpr):
     raises ``ResolventDiverged``.
     """
 
-    inner: OperatorExpr
-    lam: float
+    kind = "resolvent"
+    inner: OperatorExpr = json_field(_operand, nested=True)
+    lam: float = json_field(float)
     p: float
 
     def __post_init__(self):
@@ -628,15 +642,10 @@ class Resolvent(OperatorExpr):
             ) from exc
         return M, self.lam * (M @ b)
 
-    def _closed_form(self, d):
-        """The cached (A^(-1), lam A^(-1) b) when the closed form applies,
-        else None."""
-        return self.affine_form(d)
-
     def _apply(self, x, linear=False):
         if self.lam == 0.0:
             return np.array(x, copy=True)
-        form = self._closed_form(x.shape[-1])
+        form = self.affine_form(x.shape[-1])
         if form is not None:
             y = x @ form[0].T if linear else x @ form[0].T + form[1]
             if not np.isfinite(y).all():
@@ -737,71 +746,31 @@ def resolvent_operator(F: OperatorExpr, lam: float, sp: SpaceParams) -> Resolven
 
 
 # ---------------------------------------------------------------------------
-# JSON wire format: kind-tagged nodes, matrices row-major.
+# JSON wire format: each node is a kind-tagged object holding its declared
+# fields (``projections.json_field``), operands as nested documents and
+# matrices row-major; the space arguments come from the enclosing config.
+
+_KINDS = {T.kind: T for T in (Affine, Scale, Truncate, SwapIsometry, Activation, Averaged,
+                              Compose, ConvexCombo, Resolvent)}
+
 
 def operator_to_json(T: OperatorExpr) -> dict:
-    if isinstance(T, Affine):
-        return {"kind": "affine", "W": T.W.tolist(), "b": T.b.tolist()}
-    if isinstance(T, Scale):
-        return {"kind": "scale", "factor": T.factor}
-    if isinstance(T, Truncate):
-        return {"kind": "truncate", "k": T.keep}
-    if isinstance(T, SwapIsometry):
-        return {"kind": "swap", "i": T.i, "j": T.j}
-    if isinstance(T, Activation):
-        return {"kind": "activation", "name": T.name}
-    if isinstance(T, Averaged):
-        return {"kind": "averaged", "alpha": T.alpha, "inner": operator_to_json(T.inner)}
-    if isinstance(T, Compose):
-        return {"kind": "compose", "ops": [operator_to_json(op) for op in T.ops]}
-    if isinstance(T, ConvexCombo):
-        return {
-            "kind": "convex_combo",
-            "ops": [operator_to_json(op) for op in T.ops],
-            "weights": list(T.weights),
-        }
-    if isinstance(T, Resolvent):
-        return {"kind": "resolvent", "lam": T.lam, "inner": operator_to_json(T.inner)}
-    raise TypeError(f"cannot serialize operator kind {type(T).__name__}")
+    return json_write(T)
 
 
 def operator_from_json(doc: dict, sp: SpaceParams, dim: int) -> OperatorExpr:
-    """Build an operator from its JSON description.  Metadata is derived by
-    the node constructors (constants are propagated, never parsed); the kind
-    ``contractive_projection`` is read as ``averaged`` with alpha 1/2.  A
-    missing or malformed field raises ValueError naming its key."""
+    """Build an operator from its JSON description; the node constructors
+    derive its metadata.  An undeclared key, or a missing or malformed
+    field, raises ValueError naming its key."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("operator document must be an object with a 'kind' tag")
     kind = doc["kind"]
-
-    def sub(key):
-        return operator_from_json(json_value(doc, key, lambda d: d), sp, dim)
-
-    def subs(key):
-        return [operator_from_json(o, sp, dim) for o in json_value(doc, key, list)]
-
-    if kind == "affine":
-        W = json_value(doc, "W", _array)
-        b = json_value(doc, "b", lambda b: None if b is None else _array(b), None)
-        if doc.get("guarantee_nonexpansive", False):
-            return guaranteed_nonexpansive_affine(W, b, sp.p)
-        return Affine(W, b, p=sp.p)
-    if kind == "scale":
-        return Scale(json_value(doc, "factor", float))
-    if kind == "truncate":
-        return truncation_operator(json_value(doc, "k", int), sp, dim)
-    if kind == "swap":
-        return SwapIsometry(json_value(doc, "i", int), json_value(doc, "j", int))
-    if kind == "activation":
-        return stable_activation(json_value(doc, "name", str))
-    if kind == "averaged":
-        return averaged(sub("inner"), json_value(doc, "alpha", float))
-    if kind == "contractive_projection":
-        return contractive_projection(sub("isometry"))
-    if kind == "compose":
-        return compose(subs("ops"), sp)
-    if kind == "convex_combo":
-        return convex_combination(subs("ops"), json_value(doc, "weights", _array))
-    if kind == "resolvent":
-        return resolvent_operator(sub("inner"), json_value(doc, "lam", float), sp)
-    raise ValueError(f"unknown operator kind {kind!r}")
+    if kind == "contractive_projection":  # legacy: (Id + U)/2 with U under "isometry"
+        json_keys(doc, ("kind", "isometry"), repr(kind))
+        return Averaged(json_value(doc, "isometry", lambda U: operator_from_json(U, sp, dim)), 0.5)
+    if kind == "affine" and "guarantee_nonexpansive" in doc:  # a flag, not a field
+        rescale = json_value(doc, "guarantee_nonexpansive", json_bool)
+        rest = {k: v for k, v in doc.items() if k != "guarantee_nonexpansive"}
+        T = json_read(_KINDS, rest, "operator", p=sp.p)
+        return guaranteed_nonexpansive_affine(T.W, T.b, sp.p) if rescale else T
+    return json_read(_KINDS, doc, "operator", sp=sp, p=sp.p, dim=dim)

@@ -24,6 +24,7 @@ general, and nothing here relies on it.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -53,12 +54,37 @@ __all__ = [
 FEASIBILITY_TOL = 1e-10
 
 
+_REQUIRED = object()
+
+
+def json_field(read, key=None, json_default=_REQUIRED, nested=False, **field_args):
+    """A dataclass field that ``json_read`` and ``json_write`` see: ``read``
+    converts its value (a ``nested`` reader of operand documents also takes
+    the space) under ``key``, else the field's name; the field's default,
+    else ``json_default``, stands in for an absent key."""
+    json_default = field_args.get("default", json_default)
+    meta = {"read": read, "key": key, "json_default": json_default, "nested": nested}
+    return dataclasses.field(metadata=meta, **field_args)
+
+
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def json_bool(value) -> bool:
+    """A JSON boolean, never the truth value of another type ("no" is not false)."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class Box:
     """Coordinatewise bounds; scalars broadcast, infinities allowed."""
 
-    lower: object
-    upper: object
+    kind = "box"
+    lower: object = json_field(_array)
+    upper: object = json_field(_array)
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
@@ -78,8 +104,9 @@ class AffineEqual:
     set is the whole space.
     """
 
-    groups: tuple = ()
-    fixed: tuple = ()
+    kind = "affine_equal"
+    groups: tuple = json_field(lambda gs: [[int(i) for i in g] for g in gs], default=())
+    fixed: tuple = json_field(lambda fs: [(int(i), float(v)) for i, v in fs], default=())
 
     def __post_init__(self):
         # sorted within and across groups, and a pinned -0.0 stored as 0.0
@@ -113,8 +140,9 @@ class AffineEqual:
 class Ball:
     """lp ball {y : ||y - center||_p <= radius}."""
 
-    center: object
-    radius: float
+    kind = "ball"
+    center: object = json_field(_array)
+    radius: float = json_field(float)
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float)
@@ -128,8 +156,9 @@ class Ball:
 class Halfspace:
     """{y : <normal, y> <= offset}."""
 
-    normal: object
-    offset: float
+    kind = "halfspace"
+    normal: object = json_field(_array)
+    offset: float = json_field(float)
 
     def __post_init__(self):
         a = np.asarray(self.normal, dtype=float)
@@ -386,27 +415,43 @@ def _merge_affine_equal(sets):
     )
 
 
-def set_to_json(C) -> dict:
-    if isinstance(C, Box):
-        return {
-            "kind": "box",
-            "lower": np.asarray(C.lower).tolist(),
-            "upper": np.asarray(C.upper).tolist(),
-        }
-    if isinstance(C, AffineEqual):
-        return {
-            "kind": "affine_equal",
-            "groups": [list(g) for g in C.groups],
-            "fixed": [[i, v] for i, v in C.fixed],
-        }
-    if isinstance(C, Ball):
-        return {"kind": "ball", "center": np.asarray(C.center).tolist(), "radius": C.radius}
-    if isinstance(C, Halfspace):
-        return {"kind": "halfspace", "normal": C.normal.tolist(), "offset": C.offset}
-    raise TypeError(f"unknown convex set kind: {type(C).__name__}")
+def json_keys(doc: dict, allowed, what: str) -> None:
+    """Reject the keys of ``doc`` outside ``allowed``, naming them."""
+    unknown = doc.keys() - allowed
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
-_REQUIRED = object()
+def json_read(kinds: dict, doc, what: str, **space):
+    """The node or set of the class ``kinds`` maps the document's kind to,
+    each declared field read through ``json_value`` and each other field
+    (``sp``, ``p``, ``dim``) taken from ``space``; a bad key raises ValueError."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValueError(f"unknown {what} kind in document: {kind!r}")
+    cls = kinds[kind]
+    fields = dataclasses.fields(cls)
+    json_keys(doc, ["kind"] + [f.metadata["key"] or f.name for f in fields if f.metadata],
+              repr(kind))
+    args = {f.name: space[f.name] for f in fields if not f.metadata}
+    for f in (f for f in fields if f.metadata):
+        m = f.metadata
+        read = functools.partial(m["read"], **space) if m["nested"] else m["read"]
+        args[f.name] = json_value(doc, m["key"] or f.name, read, m["json_default"])
+    return cls(**args)
+
+
+def json_write(value):
+    """``value`` as JSON: an array (0-d: its number) or a tuple as a list, and
+    a node or set as its ``kind`` and each declared field under its key."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [json_write(v) for v in value]
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    return {"kind": value.kind, **{f.metadata["key"] or f.name: json_write(getattr(value, f.name))
+                                   for f in dataclasses.fields(value) if f.metadata}}
 
 
 def json_value(doc: dict, key: str, convert, default=_REQUIRED):
@@ -423,23 +468,14 @@ def json_value(doc: dict, key: str, convert, default=_REQUIRED):
         raise ValueError(f"bad value for key {key!r}: {exc}") from exc
 
 
-def _array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+def set_to_json(C) -> dict:
+    return json_write(C)
+
+
+_SET_KINDS = {C.kind: C for C in (Box, AffineEqual, Ball, Halfspace)}
 
 
 def set_from_json(doc: dict):
-    """Build a convex set from its JSON description; a missing or malformed
-    field raises ValueError naming its key."""
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind == "box":
-        return Box(json_value(doc, "lower", _array), json_value(doc, "upper", _array))
-    if kind == "affine_equal":
-        return AffineEqual(
-            groups=json_value(doc, "groups", lambda gs: tuple(tuple(g) for g in gs), ()),
-            fixed=json_value(doc, "fixed", lambda fs: tuple((i, v) for i, v in fs), ()),
-        )
-    if kind == "ball":
-        return Ball(json_value(doc, "center", _array), json_value(doc, "radius", float))
-    if kind == "halfspace":
-        return Halfspace(json_value(doc, "normal", _array), json_value(doc, "offset", float))
-    raise ValueError(f"unknown convex set kind in document: {kind!r}")
+    """Build a convex set from its JSON description; an undeclared key, or a
+    missing or malformed field, raises ValueError naming its key."""
+    return json_read(_SET_KINDS, doc, "convex set")

@@ -33,11 +33,11 @@ from firmlp.feasibility import (
     projection_from_isometry,
 )
 from firmlp.operators import (
-    ContractiveProjection,
     Scale,
     SwapIsometry,
     averaged,
     compose,
+    contractive_projection,
     convex_combination,
     guaranteed_nonexpansive_affine,
     neural_network,
@@ -233,8 +233,8 @@ def test_criterion_08_asymptotic_regularity():
         sp2, sp3 = space_params(2.0), space_params(3.0)
         T1 = averaged(SwapIsometry(0, 1), 0.5)
         T2 = averaged(SwapIsometry(1, 2), 0.5)
-        P_u = ContractiveProjection(SwapIsometry(0, 1))
-        P_v = ContractiveProjection(SwapIsometry(1, 2))
+        P_u = contractive_projection(SwapIsometry(0, 1))
+        P_v = contractive_projection(SwapIsometry(1, 2))
         cases = [
             (truncation_operator(2, sp3, 6), sp3, np.array([1.0, -2.0, 3.0, 0.5, -1.0, 2.0])),
             (compose([T2, T1], sp2), sp2, np.array([1.0, -1.0, 2.0, 0.0])),

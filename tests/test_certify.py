@@ -226,10 +226,10 @@ class TestQuasi:
         assert rep.estimated_min_alpha == pytest.approx(0.2, abs=1e-6)
 
     def test_composition_of_contractive_projections(self):
-        from firmlp.operators import ContractiveProjection
+        from firmlp.operators import contractive_projection
 
-        P_u = ContractiveProjection(SwapIsometry(0, 1))
-        P_v = ContractiveProjection(SwapIsometry(1, 2))
+        P_u = contractive_projection(SwapIsometry(0, 1))
+        P_v = contractive_projection(SwapIsometry(1, 2))
         T = compose([P_v, P_u], SP3)
         rep = certify_quasi_alpha_firm(
             T, T.meta.alpha_firm, SP3, None, Sampler(seed=9, dim=4), n=5_000

@@ -649,3 +649,95 @@ class TestDeterminism:
         assert files1 == files2
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestDocumentKeys:
+    """Operator and set documents are read by their kinds' field
+    declarations: every level rejects an undeclared key, and every
+    malformed value exits 1 naming its key."""
+
+    def iterate_config(self, operator, x0=(1.0, 0.0)):
+        return {"p": 3.0, "dim": len(x0), "operator": operator, "x0": list(x0)}
+
+    @pytest.mark.parametrize("operator, key", [
+        ({"kind": "scale", "factor": 0.5, "bogus": 1}, "bogus"),
+        ({"kind": "affine", "W": [[0.5, 0.0], [0.0, 0.5]], "B": [1.0, 0.0]}, "B"),
+        ({"kind": "averaged", "alpha": 0.5,
+          "inner": {"kind": "swap", "i": 0, "j": 1, "k": 2}}, "k"),
+        ({"kind": "compose", "ops": [{"kind": "truncate", "k": 1, "dim": 2}]}, "dim"),
+        ({"kind": "contractive_projection", "isometry": {"kind": "swap", "i": 0, "j": 1},
+          "alpha": 0.25}, "alpha"),
+    ])
+    def test_undeclared_operator_key_exit1(self, tmp_path, capsys, operator, key):
+        cfg = write_config(tmp_path, "i.json", self.iterate_config(operator))
+        assert main(["iterate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+
+    def test_undeclared_image_key_exit1(self, tmp_path, capsys):
+        doc = feasibility_config()
+        doc["isometries"][0]["image"] = {"kind": "affine_equal", "groups": [[0, 1]], "pins": []}
+        cfg = write_config(tmp_path, "f.json", doc)
+        assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "'pins'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("image, key", [
+        ({"kind": "affine_equal", "groups": [[0, None]]}, "groups"),
+        ({"kind": "affine_equal", "fixed": [[0, None]]}, "fixed"),
+        ({"kind": "affine_equal", "fixed": [[None, 1.0]]}, "fixed"),
+    ])
+    def test_null_index_or_value_exit1(self, tmp_path, capsys, image, key):
+        doc = feasibility_config()
+        doc["isometries"][0]["image"] = image
+        cfg = write_config(tmp_path, "f.json", doc)
+        assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", [["x"], {"a": 1}, None, 3])
+    def test_non_string_kind_exit1(self, tmp_path, capsys, kind):
+        cfg = write_config(tmp_path, "i.json", self.iterate_config({"kind": kind}))
+        assert main(["iterate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "unknown operator kind" in capsys.readouterr().err
+
+    def affine_2i(self, flag):
+        return {"kind": "affine", "W": [[2.0, 0.0], [0.0, 2.0]], "guarantee_nonexpansive": flag}
+
+    def test_guarantee_true_rescales(self, tmp_path):
+        cfg = write_config(tmp_path, "i.json", self.iterate_config(self.affine_2i(True)))
+        assert main(["iterate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["iterations"] == 0 and summary["converged"] is True
+
+    def test_guarantee_false_keeps_map(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "i.json", self.iterate_config(self.affine_2i(False)))
+        assert main(["iterate", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "divergence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["no", 1, 0, None, [True]])
+    def test_guarantee_non_boolean_exit1(self, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path, "i.json", self.iterate_config(self.affine_2i(flag)))
+        assert main(["iterate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "'guarantee_nonexpansive'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["no", 0])
+    def test_track_fix_projections_non_boolean_exit1(self, tmp_path, capsys, flag):
+        doc = self.iterate_config({"kind": "scale", "factor": 0.5})
+        doc["track_fix_projections"] = flag
+        cfg = write_config(tmp_path, "i.json", doc)
+        assert main(["iterate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "'track_fix_projections'" in capsys.readouterr().err
+
+
+class TestEmptyInstance:
+    @pytest.mark.parametrize("mode", ["averaged", "alternating"])
+    def test_empty_isometry_list_exit1(self, tmp_path, capsys, mode):
+        cfg = write_config(tmp_path, "f.json", feasibility_config(isometries=[], mode=mode))
+        assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "'isometries'" in capsys.readouterr().err
+
+
+class TestRemovedOverrides:
+    @pytest.mark.parametrize("flag, value", [("--p", "2"), ("--dim", "3")])
+    def test_space_overrides_are_usage_errors(self, tmp_path, flag, value):
+        cfg = write_config(tmp_path, "c.json", certify_config())
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path), flag, value]) == 1
+        assert not (tmp_path / "certify_report.json").exists()

@@ -24,7 +24,6 @@ from firmlp.operators import (
     Affine,
     Averaged,
     Compose,
-    ContractiveProjection,
     ConvexCombo,
     DimensionMismatch,
     OperatorExpr,
@@ -35,6 +34,7 @@ from firmlp.operators import (
     Truncate,
     averaged,
     compose,
+    contractive_projection,
     convex_combination,
     guaranteed_nonexpansive_affine,
     identity,
@@ -53,8 +53,8 @@ def two_swap_chain(sp):
 
 
 def swap_projection_pair():
-    P_u = ContractiveProjection(SwapIsometry(0, 1))
-    P_v = ContractiveProjection(SwapIsometry(1, 2))
+    P_u = contractive_projection(SwapIsometry(0, 1))
+    P_v = contractive_projection(SwapIsometry(1, 2))
     return P_u, P_v
 
 
@@ -423,7 +423,7 @@ class TestResolventClosedForm:
         x = rng.normal(size=(5, self.D) if batched else self.D)
         with monkeypatch.context() as m:
             # the reference: every resolvent in the tree runs the iteration
-            m.setattr(Resolvent, "_closed_form", lambda self, d: None)
+            m.setattr(Resolvent, "affine_form", lambda self, d: None)
             reference = [Resolvent(AFFINE_CASES[name](sp, self.D), lam, p=p)(x) for lam in (0.3, 4.0)]
         assert not inv_calls
         for lam, ref in zip((0.3, 4.0), reference):
@@ -487,7 +487,7 @@ class TestResolventClosedForm:
         P = np.roll(np.eye(self.D), 1, axis=1)
         R = Resolvent(Affine(1e-8 * P, np.full(self.D, 1e6), p=3.0), 2.0, p=3.0)
         W, b = R.affine_form(self.D)
-        M, c = R._closed_form(self.D)
+        M, c = R.affine_form(self.D)
         assert np.array_equal(W, M) and np.array_equal(b, c)
 
     @pytest.mark.parametrize("name", ["tanh", "relu"])
@@ -596,8 +596,8 @@ class TestCompiledEvaluation:
     @pytest.mark.parametrize("build", [
         lambda: averaged_swap_chain(4, SP3),
         lambda: averaged_swap_chain(8, SP3),
-        lambda: compose([ContractiveProjection(SwapIsometry(i, i + 1)) for i in range(6)], SP3),
-        lambda: convex_combination([ContractiveProjection(SwapIsometry(i, i + 1)) for i in range(6)], [1 / 6] * 6),
+        lambda: compose([contractive_projection(SwapIsometry(i, i + 1)) for i in range(6)], SP3),
+        lambda: convex_combination([contractive_projection(SwapIsometry(i, i + 1)) for i in range(6)], [1 / 6] * 6),
         lambda: network(16, SP3),
     ], ids=["swaps_d4", "swaps_d8", "projections_d8", "averaged_projections_d8", "network_d16"])
     def test_trees_match_walk(self, build, batched):

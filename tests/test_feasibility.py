@@ -172,10 +172,10 @@ class TestIntersections:
 
 class TestFixedSetEquality:
     def test_reference_examples(self):
-        from firmlp.operators import ContractiveProjection, compose, convex_combination
+        from firmlp.operators import compose, contractive_projection, convex_combination
 
-        P_u = ContractiveProjection(SwapIsometry(0, 1))
-        P_v = ContractiveProjection(SwapIsometry(1, 2))
+        P_u = contractive_projection(SwapIsometry(0, 1))
+        P_v = contractive_projection(SwapIsometry(1, 2))
         T = compose([P_v, P_u], SP3)
         S = convex_combination([P_u, P_v], [0.5, 0.5])
         inside = np.array([2.0, 2.0, 2.0, 7.0])

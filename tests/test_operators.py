@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from firmlp.certify import Sampler, certify_alpha_firm
@@ -12,7 +12,6 @@ from firmlp.operators import (
     Affine,
     Averaged,
     Compose,
-    ContractiveProjection,
     ConvexCombo,
     DimensionMismatch,
     EMPTY_INTERSECTION,
@@ -21,9 +20,9 @@ from firmlp.operators import (
     Scale,
     SwapIsometry,
     Truncate,
-    apply,
     averaged,
     compose,
+    contractive_projection,
     convex_combination,
     guaranteed_nonexpansive_affine,
     identity,
@@ -35,7 +34,7 @@ from firmlp.operators import (
     stable_activation,
     truncation_operator,
 )
-from firmlp.projections import AffineEqual, Ball, Box, Halfspace
+from firmlp.projections import AffineEqual, Ball, Box, Halfspace, set_to_json
 from firmlp.space import lp_norm, space_params
 
 SP2 = space_params(2.0)
@@ -56,10 +55,10 @@ def assert_same_meta(a, b):
 
 class TestApply:
     def test_truncate(self):
-        assert np.allclose(apply(Truncate(1, SP2), [3.0, 4.0, 5.0]), [3.0, 0.0, 0.0])
+        assert np.allclose(Truncate(1, SP2)([3.0, 4.0, 5.0]), [3.0, 0.0, 0.0])
 
     def test_swap(self):
-        assert np.allclose(apply(SwapIsometry(0, 1), [1.0, 0.0, 0.0, 0.0]), [0, 1, 0, 0])
+        assert np.allclose(SwapIsometry(0, 1)([1.0, 0.0, 0.0, 0.0]), [0, 1, 0, 0])
 
     def test_averaged_scale(self):
         T = averaged(Scale(-1.0), 0.5)
@@ -68,7 +67,7 @@ class TestApply:
     def test_compose_is_right_to_left(self):
         A, B = Truncate(1, SP2), SwapIsometry(0, 1)
         x = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(apply(Compose((A, B), SP2), x), apply(A, apply(B, x)))
+        assert np.allclose(Compose((A, B), SP2)(x), A(B(x)))
 
     def test_batched(self):
         T = SwapIsometry(0, 1)
@@ -521,7 +520,7 @@ class TestFixedPointMerging:
         assert T.meta.fixed_points is None
 
     def test_contractive_projection_meta(self):
-        P = ContractiveProjection(SwapIsometry(0, 1))
+        P = contractive_projection(SwapIsometry(0, 1))
         assert P.meta.alpha_firm == 0.5
         assert isinstance(P.meta.fixed_points, AffineEqual)
         x = np.array([3.0, 1.0, 5.0])
@@ -530,7 +529,7 @@ class TestFixedPointMerging:
 
     def test_contractive_projection_is_averaged_half(self):
         U = SwapIsometry(1, 2)
-        P = ContractiveProjection(U)
+        P = contractive_projection(U)
         assert isinstance(P, Averaged) and P.alpha == 0.5
         x = np.random.default_rng(4).uniform(-10, 10, size=(1000, 4))
         assert np.array_equal(P(x), 0.5 * (x + U(x)))
@@ -572,6 +571,93 @@ class TestMetadataIsDerived:
         assert averaged(Affine(W, np.zeros(2), p=3.0), 0.5).meta.alpha_firm is None
 
 
+@st.composite
+def operator_documents(draw):
+    """(p, d, document) over the operator JSON grammar on dimension d <= 6.
+    Every atom is proven nonexpansive, so no resolvent warns."""
+    p = draw(st.sampled_from([1.5, 2.0, 3.0, 6.0]))
+    d = draw(st.integers(2, 6))
+    coord = st.floats(-2.0, 2.0)
+    atoms = st.one_of(
+        st.builds(
+            lambda W, b: {"kind": "affine", "W": W, "b": b, "guarantee_nonexpansive": True},
+            st.lists(st.lists(coord, min_size=d, max_size=d), min_size=d, max_size=d),
+            st.none() | st.lists(coord, min_size=d, max_size=d),
+        ),
+        st.builds(lambda c: {"kind": "scale", "factor": c}, st.floats(-1.0, 1.0)),
+        st.builds(lambda k: {"kind": "truncate", "k": k}, st.integers(1, d - 1)),
+        st.builds(
+            lambda ij: {"kind": "swap", "i": ij[0], "j": ij[1]},
+            st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True),
+        ),
+        st.builds(
+            lambda name: {"kind": "activation", "name": name},
+            st.sampled_from(["relu", "tanh", "identity"]),
+        ),
+    )
+
+    def combinators(children):
+        def convex_combo(ops, ks):
+            ks = ks[: len(ops)]
+            return {"kind": "convex_combo", "ops": ops, "weights": [k / sum(ks) for k in ks]}
+
+        ops = st.lists(children, min_size=1, max_size=3)
+        return st.one_of(
+            st.builds(
+                lambda inner, a: {"kind": "averaged", "alpha": a, "inner": inner},
+                children, st.floats(0.05, 0.95),
+            ),
+            st.builds(lambda ops: {"kind": "compose", "ops": ops}, ops),
+            st.builds(convex_combo, ops, st.lists(st.integers(1, 3), min_size=3, max_size=3)),
+            st.builds(
+                lambda inner, lam: {"kind": "resolvent", "lam": lam, "inner": inner},
+                children, st.sampled_from([0.0, 0.5, 1.0]),
+            ),
+        )
+
+    return p, d, draw(st.recursive(atoms, combinators, max_leaves=5))
+
+
+def fixed_set_doc(meta):
+    return None if meta.fixed_points is None else set_to_json(meta.fixed_points)
+
+
+EVERY_OPERATOR_KIND = (3.0, 4, {"kind": "compose", "ops": [
+    {"kind": "averaged", "alpha": 0.25, "inner": {"kind": "truncate", "k": 2}},
+    {"kind": "convex_combo", "weights": [0.5, 0.5],
+     "ops": [{"kind": "scale", "factor": -0.5}, {"kind": "swap", "i": 0, "j": 3}]},
+    {"kind": "resolvent", "lam": 0.5, "inner": {
+        "kind": "affine", "W": [[1.0, 2.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                                [0.0, 0.0, 0.0, 1.0]], "guarantee_nonexpansive": True}},
+    {"kind": "activation", "name": "tanh"},
+]})
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(operator_documents())
+@example(EVERY_OPERATOR_KIND)
+def test_json_round_trip_property(case):
+    p, d, first = case
+    sp = space_params(p)
+    T = operator_from_json(first, sp, d)
+    doc = operator_to_json(T)
+    T2 = operator_from_json(doc, sp, d)
+    assert operator_to_json(T2) == doc
+    assert (T2.meta.proven_nonexpansive, T2.meta.alpha_firm, T2.meta.averaged) == (
+        T.meta.proven_nonexpansive, T.meta.alpha_firm, T.meta.averaged
+    )
+    assert fixed_set_doc(T2.meta) == fixed_set_doc(T.meta)
+    assert T2.affine == T.affine
+    x = 3.0 * np.random.default_rng(0).normal(size=(6, d))
+    scale = np.abs(x).max()
+    np.testing.assert_allclose(T2(x), T(x), rtol=1e-12, atol=1e-12 * scale)
+    if T.affine:
+        W, b = T.affine_form(d)
+        np.testing.assert_allclose(
+            x @ W.T + b, T._apply(x), rtol=1e-10, atol=1e-10 * (scale + np.abs(b).max())
+        )
+
+
 class TestJsonRoundTrip:
     def cases(self):
         yield averaged(SwapIsometry(0, 1), 0.5)
@@ -581,7 +667,7 @@ class TestJsonRoundTrip:
             [averaged(SwapIsometry(0, 1), 0.5), averaged(SwapIsometry(1, 2), 0.5)],
             [0.5, 0.5],
         )
-        yield ContractiveProjection(SwapIsometry(1, 2))
+        yield contractive_projection(SwapIsometry(1, 2))
         yield Scale(-1.0)
 
     def test_round_trip_behaviour(self):

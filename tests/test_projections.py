@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from firmlp.projections import (
@@ -45,6 +45,47 @@ def grid_refine_minimum(f, lo, hi, rounds=60, pts=33):
         i = int(np.argmin(vals))
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, pts - 1)]
     return 0.5 * (lo + hi)
+
+
+@st.composite
+def set_documents(draw, dim=6):
+    """Documents of the four convex set kinds on dimension ``dim``; box
+    bounds are vectors or broadcast scalars, and may be infinite."""
+    coord = st.floats(-5.0, 5.0)
+    kind = draw(st.sampled_from(["box", "affine_equal", "ball", "halfspace"]))
+    if kind == "box":
+        bound = st.one_of(coord, st.sampled_from([-np.inf, np.inf]))
+        lower, upper = np.array([sorted(draw(st.tuples(bound, bound))) for _ in range(dim)]).T
+        if draw(st.booleans()):  # scalar bounds, read as 0-d arrays
+            lower, upper = lower[0], upper[0]
+        return {"kind": "box", "lower": lower.tolist(), "upper": upper.tolist()}
+    if kind == "affine_equal":
+        # label -1: free, 0: pinned, 1 and 2: groups (a group of one is free)
+        labels = draw(st.lists(st.integers(-1, 2), min_size=dim, max_size=dim))
+        groups = [[i for i, g in enumerate(labels) if g == label] for label in (1, 2)]
+        doc = {"kind": "affine_equal", "groups": [g for g in groups if len(g) > 1]}
+        pinned = [i for i, g in enumerate(labels) if g == 0]
+        doc["fixed"] = [[i, draw(coord)] for i in pinned]
+        return doc
+    vector = draw(st.lists(coord, min_size=dim, max_size=dim))
+    if kind == "ball":
+        return {"kind": "ball", "center": vector, "radius": draw(st.floats(0.1, 5.0))}
+    vector[draw(st.integers(0, dim - 1))] = 1.0  # a nonzero normal
+    return {"kind": "halfspace", "normal": vector, "offset": draw(coord)}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(set_documents())
+@example({"kind": "box", "lower": 0.0, "upper": float("inf")})  # 0-d bounds
+@example({"kind": "affine_equal", "groups": [[4, 0], [2, 3]], "fixed": [[1, -0.0]]})
+def test_set_json_round_trip_property(first):
+    C = set_from_json(first)
+    doc = set_to_json(C)
+    C2 = set_from_json(doc)
+    assert set_to_json(C2) == doc
+    x = np.random.default_rng(0).uniform(-8.0, 8.0, size=(6, 6))
+    sp = space_params(3.0)
+    assert np.array_equal(project(C2, x, sp), project(C, x, sp))
 
 
 def all_set_kinds(dim=4):
