@@ -14,9 +14,12 @@ failure (divergence, non-convergence, or a NaN or Inf arising in the run).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,8 @@ import numpy as np
 from . import certify as cert
 from . import dynamics, feasibility
 from .operators import DimensionMismatch, ResolventDiverged, operator_from_json
-from .projections import json_bool, json_keys, json_value
+from .projections import (_array, json_bool, json_float, json_int, json_keys, json_str,
+                          json_type, json_value)
 from .space import NonFiniteError, lp_norm, space_params
 
 __all__ = ["main"]
@@ -39,82 +43,62 @@ class ConfigError(ValueError):
     pass
 
 
-def _floats(values) -> list[float]:
-    return [float(v) for v in values]
+def _at_least(low: int):
+    """A reader of JSON integers >= ``low``."""
+    def read(value) -> int:
+        if json_int(value) < low:
+            raise ValueError(f"expected an integer >= {low}, got {value!r}")
+        return int(value)
+    return read
 
 
-def _load_config(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+def _list_of(read):
+    """A reader of JSON lists whose every element ``read`` takes."""
+    is_list = json_type(list, "a list")
+    return lambda values: [read(v) for v in is_list(values)]
 
 
-def _check_keys(doc, required: set, optional: set, what: str = "config") -> None:
+def _file_name(value) -> str:
+    """An output name, joined to --out; an empty one would name --out itself."""
+    if not json_str(value):
+        raise ValueError("expected a non-empty file name")
+    return value
+
+
+def _read(doc, keys: dict, required=frozenset(), what: str = "config") -> dict:
+    """The keys ``doc`` sets, each read by its reader in ``keys`` (where that
+    is a table, a nested document read the same way).  ``doc`` must be an
+    object that sets every ``required`` key and no key outside ``keys``."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
     missing = required - doc.keys()
     if missing:
         raise ConfigError(f"missing {what} keys: {sorted(missing)}")
-    json_keys(doc, required | optional, what)
+    json_keys(doc, keys, what)
+    return {key: json_value(doc, key, partial(_read, keys=r, what=key) if isinstance(r, dict) else r)
+            for key, r in keys.items() if key in doc}
 
 
-def _prepare(args, required: set, optional: set, vector: str | None):
-    """Load the config, check its keys, parse the space and dimension, build
-    the operator (for feasibility, the projection specs) and check the shape
-    of the input vector, in that order; returns (doc, sp, dim, op, vector)."""
-    doc = _load_config(args.config)
-    _check_keys(doc, required | {"p", "dim"}, optional | {"seed"})
-    if args.seed is not None:
+def _prepare(args, keys: dict, required: set, vector: str | None):
+    """Read the config by its table (the --seed override first), then parse
+    the space, build the operator (for feasibility, the projection specs)
+    and check the shape of the input vector; returns (config, sp, op)."""
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    if args.seed is not None and isinstance(doc, dict):
         doc["seed"] = args.seed
-    sp = space_params(json_value(doc, "p", float))
-    dim = json_value(doc, "dim", int)
-    if dim < 1:
-        raise ConfigError("dim must be >= 1")
-    if "operator" in doc:
-        op = operator_from_json(doc["operator"], sp, dim)
+    cfg = _read(doc, keys, required)
+    sp, dim = space_params(cfg["p"]), cfg["dim"]
+    if "operator" in cfg:
+        op = operator_from_json(cfg["operator"], sp, dim)
     else:
-        op = feasibility.load_instance_json(json_value(doc, "isometries", list), sp, dim)
-    vec = None
-    if vector is not None:
-        vec = json_value(doc, vector, lambda v: np.asarray(v, dtype=float))
-        if vec.shape != (dim,) or not np.isfinite(vec).all():
-            raise ConfigError(f"{vector!r} must hold {dim} finite coordinates")
-    return doc, sp, dim, op, vec
-
-
-_SAMPLER_KEYS = {
-    "dist": str,
-    "low": float,
-    "high": float,
-    "scale": float,
-    "min_norm": lambda v: None if v is None else float(v),
-}
-_STOP_KEYS = {"step_tol": float, "max_iter": int}
-
-
-def _settings(doc: dict, keys: dict, names: dict | None = None) -> dict:
-    """The entries of ``keys`` (key -> converter) that ``doc`` sets, each read
-    through ``json_value`` and named as the library's parameter (``names``
-    maps the keys whose names differ); the library's defaults fill in the
-    rest."""
-    names = names or {}
-    return {
-        names.get(key, key): json_value(doc, key, convert)
-        for key, convert in keys.items()
-        if key in doc
-    }
-
-
-def _sampler_from(doc: dict, seed: int, dim: int) -> cert.Sampler:
-    _check_keys(doc, set(), set(_SAMPLER_KEYS), "sampler")
-    return cert.Sampler(seed=seed, dim=dim, **_settings(doc, _SAMPLER_KEYS))
-
-
-def _stop_rule(doc: dict) -> dynamics.StopRule:
-    _check_keys(doc, set(), set(_STOP_KEYS), "stop-rule")
-    return dynamics.StopRule(**_settings(doc, _STOP_KEYS))
+        op = feasibility.load_instance_json(cfg["isometries"], sp, dim)
+    if vector is not None and (cfg[vector].shape != (dim,) or not np.isfinite(cfg[vector]).all()):
+        raise ConfigError(f"{vector!r} must hold {dim} finite coordinates")
+    return cfg, sp, op
 
 
 def _finite_or_null(value):
@@ -129,9 +113,20 @@ def _finite_or_null(value):
     return value
 
 
+@contextlib.contextmanager
+def _output(path: Path):
+    """``path`` open for writing, its directory made first; an OSError on the
+    way is a usage error that names the path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path: Path, doc: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output(path) as fh:
         json.dump(_finite_or_null(doc), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
@@ -139,8 +134,7 @@ def _write_json(path: Path, doc: dict) -> None:
 def _write_run(csv_path: Path, summary_path: Path, traj: dynamics.Trajectory, **extra) -> None:
     """Write the trajectory CSV and its summary JSON, with ``extra`` keys
     (such as "error" after a failed run) added to the summary."""
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+    with _output(csv_path) as fh:
         dynamics.trajectory_to_csv(traj, fh)
     summary = {
         "iterations": int(len(traj.step_norms)),
@@ -156,46 +150,46 @@ def _write_run(csv_path: Path, summary_path: Path, traj: dynamics.Trajectory, **
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the --out directory, the values its config sets
+# (read by its table in _COMMANDS), the space and the operator or specs
 
-def _cmd_certify(out: Path, doc: dict, sp, dim: int, T, _) -> int:
-    seed = json_value(doc, "seed", int, 0)
-    run = _settings(doc, {"samples": int, "tol": float}, {"samples": "n"})
-    sampler = _sampler_from(doc.get("sampler", {}), seed, dim)
-    prop = doc["property"]
+def _cmd_certify(out: Path, cfg: dict, sp, T) -> int:
+    run = {"n" if key == "samples" else key: cfg[key] for key in ("samples", "tol") if key in cfg}
+    seed = cfg.get("seed", 0)
+    sampler = cert.Sampler(seed=seed, dim=cfg["dim"], **cfg.get("sampler", {}))
+    prop = cfg["property"]
     if prop == "nonexpansive":
         report = cert.certify_nonexpansive(T, sp.p, sampler, **run)
     elif prop == "alpha_firm":
-        second = _sampler_from(doc.get("sampler", {}), seed + 1, dim)
+        second = dataclasses.replace(sampler, seed=seed + 1)
         report = cert.certify_alpha_firm(
-            T, json_value(doc, "alpha", float), sp, (sampler, second), **run
+            T, json_value(cfg, "alpha", json_float), sp, (sampler, second), **run
         )
     elif prop == "quasi_alpha_firm":
         report = cert.certify_quasi_alpha_firm(
-            T, json_value(doc, "alpha", float), sp, None, sampler, **run
+            T, json_value(cfg, "alpha", json_float), sp, None, sampler, **run
         )
     elif prop == "bruck":
-        grid = json_value(doc, "w_grid", lambda v: None if v is None else _floats(v), None)
-        report = cert.certify_bruck_firm(T, sp, sampler, w_grid=grid, **run)
+        report = cert.certify_bruck_firm(T, sp, sampler, w_grid=cfg.get("w_grid"), **run)
     else:
         raise ConfigError(f"unknown property {prop!r}")
-    path = json_value(doc, "report", out.joinpath, "certify_report.json")
+    path = out / cfg.get("report", "certify_report.json")
     _write_json(path, cert.report_to_json(report))
     print(f"{report.property}: {'PASS' if report.passed else 'FAIL'} "
           f"(worst residual {dynamics.fmt(report.worst_residual)}) -> {path}")
     return EXIT_OK if report.passed else EXIT_PROPERTY
 
 
-def _cmd_iterate(out: Path, doc: dict, sp, dim: int, T, x0) -> int:
-    stop = _stop_rule(doc.get("stop", {}))
-    monitors = dynamics.MonitorConfig(sp=sp, **_settings(
-        doc, {"n_fejer": int, "seed": int, "track_fix_projections": json_bool},
-        {"n_fejer": "auto_fejer"},
-    ))
-    csv_path = json_value(doc, "csv", out.joinpath, "trajectory.csv")
-    summary_path = json_value(doc, "summary", out.joinpath, "summary.json")
+def _cmd_iterate(out: Path, cfg: dict, sp, T) -> int:
+    stop = dynamics.StopRule(**cfg.get("stop", {}))
+    monitors = dynamics.MonitorConfig(sp=sp, **{
+        "auto_fejer" if key == "n_fejer" else key: cfg[key]
+        for key in ("n_fejer", "seed", "track_fix_projections") if key in cfg
+    })
+    csv_path = out / cfg.get("csv", "trajectory.csv")
+    summary_path = out / cfg.get("summary", "summary.json")
     try:
-        traj = dynamics.picard_iterate(T, x0, stop, monitors)
+        traj = dynamics.picard_iterate(T, cfg["x0"], stop, monitors)
     except dynamics.DivergenceError as exc:
         _write_run(csv_path, summary_path, exc.trajectory, error=str(exc))
         print(f"divergence: {exc} -> {csv_path}", file=sys.stderr)
@@ -205,11 +199,11 @@ def _cmd_iterate(out: Path, doc: dict, sp, dim: int, T, x0) -> int:
     return EXIT_OK
 
 
-def _cmd_resolvent(out: Path, doc: dict, sp, dim: int, F, x) -> int:
-    lambdas = json_value(doc, "lambdas", _floats)
-    path = json_value(doc, "report", out.joinpath, "resolvent.json")
+def _cmd_resolvent(out: Path, cfg: dict, sp, F) -> int:
+    x = cfg["x"]
+    path = out / cfg.get("report", "resolvent.json")
     report = {"p": sp.p, "x": x.tolist(), "results": []}
-    for lam in lambdas:
+    for lam in cfg["lambdas"]:
         try:
             y = dynamics.resolvent_apply(F, lam, x, sp)
             displacement = float(lp_norm(y - x, sp.p))
@@ -220,19 +214,17 @@ def _cmd_resolvent(out: Path, doc: dict, sp, dim: int, F, x) -> int:
             return EXIT_NUMERIC
         report["results"].append({"lam": lam, "value": y.tolist(), "displacement": displacement})
     _write_json(path, report)
-    print(f"resolvent: {len(lambdas)} parameter values -> {path}")
+    print(f"resolvent: {len(cfg['lambdas'])} parameter values -> {path}")
     return EXIT_OK
 
 
-def _cmd_semigroup(out: Path, doc: dict, sp, dim: int, F, x) -> int:
-    t = json_value(doc, "t", float)
-    schedule = json_value(doc, "schedule", lambda ns: [int(n) for n in ns])
-    est = dynamics.semigroup_limit_estimate(F, t, x, schedule, sp)
+def _cmd_semigroup(out: Path, cfg: dict, sp, F) -> int:
+    t = cfg["t"]
+    est = dynamics.semigroup_limit_estimate(F, t, cfg["x"], cfg["schedule"], sp)
     errors = est.closed_form_errors
-    csv_path = json_value(doc, "csv", out.joinpath, "semigroup.csv")
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        cols = ["n", "t"] + [f"x_{i+1}" for i in range(dim)] + ["diff", "closed_form_error"]
+    csv_path = out / cfg.get("csv", "semigroup.csv")
+    with _output(csv_path) as fh:
+        cols = ["n", "t"] + [f"x_{i+1}" for i in range(cfg["dim"])] + ["diff", "closed_form_error"]
         fh.write(",".join(cols) + "\n")
         for k, n in enumerate(est.schedule):
             row = [str(n), dynamics.fmt(t)] + [dynamics.fmt(v) for v in est.values[k]]
@@ -247,7 +239,7 @@ def _cmd_semigroup(out: Path, doc: dict, sp, dim: int, F, x) -> int:
     }
     if est.axiom_checks is not None:
         summary["axiom_checks"] = est.axiom_checks
-    _write_json(json_value(doc, "summary", out.joinpath, "semigroup.json"), summary)
+    _write_json(out / cfg.get("summary", "semigroup.json"), summary)
     if not est.cauchy_ok:
         print("semigroup: non-Cauchy value sequence", file=sys.stderr)
         return EXIT_NUMERIC
@@ -255,18 +247,18 @@ def _cmd_semigroup(out: Path, doc: dict, sp, dim: int, F, x) -> int:
     return EXIT_OK
 
 
-def _cmd_feasibility(out: Path, doc: dict, sp, dim: int, specs, x0) -> int:
-    stop = _stop_rule(doc.get("stop", {}))
-    mode = doc.get("mode", "alternating")
-    monitors = _settings(doc, {"n_fejer": int, "seed": int})
-    csv_path = json_value(doc, "csv", out.joinpath, "feasibility.csv")
-    summary_path = json_value(doc, "summary", out.joinpath, "feasibility.json")
+def _cmd_feasibility(out: Path, cfg: dict, sp, specs) -> int:
+    stop = dynamics.StopRule(**cfg.get("stop", {}))
+    mode = cfg.get("mode", "alternating")
+    monitors = {key: cfg[key] for key in ("n_fejer", "seed") if key in cfg}
+    csv_path = out / cfg.get("csv", "feasibility.csv")
+    summary_path = out / cfg.get("summary", "feasibility.json")
     try:
         if mode == "alternating":
-            traj = feasibility.alternating_projections(specs, x0, stop, sp, **monitors)
+            traj = feasibility.alternating_projections(specs, cfg["x0"], stop, sp, **monitors)
         elif mode == "averaged":
-            weights = json_value(doc, "weights", _floats, [1.0 / len(specs)] * len(specs))
-            traj = feasibility.averaged_projections(specs, weights, x0, stop, sp, **monitors)
+            weights = cfg.get("weights", [1.0 / len(specs)] * len(specs))
+            traj = feasibility.averaged_projections(specs, weights, cfg["x0"], stop, sp, **monitors)
         else:
             raise ConfigError(f"unknown mode {mode!r}")
     except feasibility.EmptyIntersectionError as exc:
@@ -282,29 +274,36 @@ def _cmd_feasibility(out: Path, doc: dict, sp, dim: int, specs, x0) -> int:
     return EXIT_OK
 
 
-# subcommand -> (handler, required keys, optional keys, input vector key);
-# every subcommand also takes "p", "dim" and an optional "seed"
+_floats = _list_of(json_float)
+_SPACE = {"p": json_float, "dim": _at_least(1), "seed": _at_least(0)}
+_OPERATOR = {"operator": json_type(dict, "an object")}
+_FILES = {"csv": _file_name, "summary": _file_name}
+_STOP = {"step_tol": json_float, "max_iter": json_int}
+_SAMPLER = {"dist": json_str, "low": json_float, "high": json_float, "scale": json_float,
+            "min_norm": lambda v: None if v is None else json_float(v)}
+
+# subcommand -> (handler, the reader of each config key, the required keys,
+# the input vector key); a table reads a nested document the same way, and a
+# key a config leaves out takes the library's default
 _COMMANDS = {
-    "certify": (
-        _cmd_certify,
-        {"operator", "property"},
-        {"alpha", "samples", "tol", "sampler", "w_grid", "report"},
-        None,
-    ),
-    "iterate": (
-        _cmd_iterate,
-        {"operator", "x0"},
-        {"stop", "n_fejer", "track_fix_projections", "csv", "summary"},
-        "x0",
-    ),
-    "resolvent": (_cmd_resolvent, {"operator", "lambdas", "x"}, {"report"}, "x"),
-    "semigroup": (_cmd_semigroup, {"operator", "t", "schedule", "x"}, {"csv", "summary"}, "x"),
-    "feasibility": (
-        _cmd_feasibility,
-        {"isometries", "x0"},
-        {"mode", "weights", "stop", "n_fejer", "csv", "summary"},
-        "x0",
-    ),
+    "certify": (_cmd_certify, _SPACE | _OPERATOR | {
+        "property": json_str, "alpha": json_float, "samples": json_int, "tol": json_float,
+        "sampler": _SAMPLER, "w_grid": lambda v: None if v is None else _floats(v),
+        "report": _file_name,
+    }, {"p", "dim", "operator", "property"}, None),
+    "iterate": (_cmd_iterate, _SPACE | _OPERATOR | {
+        "x0": _array, "stop": _STOP, "n_fejer": _at_least(0), "track_fix_projections": json_bool,
+    } | _FILES, {"p", "dim", "operator", "x0"}, "x0"),
+    "resolvent": (_cmd_resolvent, _SPACE | _OPERATOR | {
+        "lambdas": _floats, "x": _array, "report": _file_name,
+    }, {"p", "dim", "operator", "lambdas", "x"}, "x"),
+    "semigroup": (_cmd_semigroup, _SPACE | _OPERATOR | {
+        "t": json_float, "schedule": _list_of(json_int), "x": _array,
+    } | _FILES, {"p", "dim", "operator", "t", "schedule", "x"}, "x"),
+    "feasibility": (_cmd_feasibility, _SPACE | {
+        "isometries": json_type(list, "a list"), "x0": _array, "mode": json_str,
+        "weights": _floats, "stop": _STOP, "n_fejer": _at_least(0),
+    } | _FILES, {"p", "dim", "isometries", "x0"}, "x0"),
 }
 
 
@@ -324,9 +323,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    run, required, optional, vector = _COMMANDS[args.command]
+    run, keys, required, vector = _COMMANDS[args.command]
     try:
-        return run(Path(args.out), *_prepare(args, required, optional, vector))
+        return run(Path(args.out), *_prepare(args, keys, required, vector))
     except feasibility.IsometryCheckError as exc:
         print(f"rejected isometry: {exc}", file=sys.stderr)
         return EXIT_PROPERTY

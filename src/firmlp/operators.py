@@ -66,8 +66,11 @@ from .projections import (
     _array,
     json_bool,
     json_field,
+    json_float,
+    json_int,
     json_keys,
     json_read,
+    json_str,
     json_value,
     json_write,
     merge_fixed_point_sets,
@@ -263,7 +266,7 @@ class Scale(OperatorExpr):
     """x -> factor * x."""
 
     kind = "scale"
-    factor: float = json_field(float)
+    factor: float = json_field(json_float)
 
     def __post_init__(self):
         self.factor = float(self.factor)
@@ -293,7 +296,7 @@ class Truncate(OperatorExpr):
     """
 
     kind = "truncate"
-    keep: int = json_field(int, key="k")
+    keep: int = json_field(json_int, key="k")
     sp: SpaceParams
     dim: int | None = None
 
@@ -326,8 +329,8 @@ class SwapIsometry(OperatorExpr):
     """Exchange coordinates i and j (0-based); an isometry with U^2 = Id."""
 
     kind = "swap"
-    i: int = json_field(int)
-    j: int = json_field(int)
+    i: int = json_field(json_int)
+    j: int = json_field(json_int)
 
     def __post_init__(self):
         self.i, self.j = int(self.i), int(self.j)
@@ -368,7 +371,7 @@ class Activation(OperatorExpr):
     """
 
     kind = "activation"
-    name: str = json_field(str)
+    name: str = json_field(json_str)
 
     def __post_init__(self):
         if self.name not in _ACTIVATIONS:
@@ -398,7 +401,7 @@ class Averaged(OperatorExpr):
 
     kind = "averaged"
     inner: OperatorExpr = json_field(_operand, nested=True)
-    alpha: float = json_field(float)
+    alpha: float = json_field(json_float)
 
     def __post_init__(self):
         self.alpha = float(self.alpha)
@@ -603,7 +606,7 @@ class Resolvent(OperatorExpr):
 
     kind = "resolvent"
     inner: OperatorExpr = json_field(_operand, nested=True)
-    lam: float = json_field(float)
+    lam: float = json_field(json_float)
     p: float
 
     def __post_init__(self):

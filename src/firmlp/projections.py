@@ -67,15 +67,45 @@ def json_field(read, key=None, json_default=_REQUIRED, nested=False, **field_arg
     return dataclasses.field(metadata=meta, **field_args)
 
 
+def json_type(types, what: str):
+    """A reader that passes a JSON value of ``types`` through unchanged and
+    raises TypeError naming ``what`` for any other; a boolean is not a
+    number ("no" is not false, and true is not 1)."""
+
+    def read(value):
+        if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+            raise TypeError(f"expected {what}, got {value!r}")
+        return value
+
+    return read
+
+
+json_bool = json_type(bool, "true or false")
+json_str = json_type(str, "a string")
+_json_number = json_type((int, float), "a number")
+
+
+def json_float(value) -> float:
+    """A JSON number as a float; a boolean or a string is not a number."""
+    return float(_json_number(value))
+
+
+def json_int(value) -> int:
+    """A JSON number with an integral value (``1e5`` reads as 100000); a
+    fraction, a boolean or a string is not an integer."""
+    if isinstance(_json_number(value), float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _numbers(value):
+    return [_numbers(v) for v in value] if isinstance(value, (list, tuple)) else json_float(value)
+
+
 def _array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
-def json_bool(value) -> bool:
-    """A JSON boolean, never the truth value of another type ("no" is not false)."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
+    """A JSON number, or nested lists of numbers, as a float array; each
+    element is checked, since numpy reads ``"1"`` and ``true`` as numbers."""
+    return np.asarray(_numbers(value), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +135,8 @@ class AffineEqual:
     """
 
     kind = "affine_equal"
-    groups: tuple = json_field(lambda gs: [[int(i) for i in g] for g in gs], default=())
-    fixed: tuple = json_field(lambda fs: [(int(i), float(v)) for i, v in fs], default=())
+    groups: tuple = json_field(lambda gs: [[json_int(i) for i in g] for g in gs], default=())
+    fixed: tuple = json_field(lambda fs: [(json_int(i), json_float(v)) for i, v in fs], default=())
 
     def __post_init__(self):
         # sorted within and across groups, and a pinned -0.0 stored as 0.0
@@ -142,7 +172,7 @@ class Ball:
 
     kind = "ball"
     center: object = json_field(_array)
-    radius: float = json_field(float)
+    radius: float = json_field(json_float)
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float)
@@ -158,7 +188,7 @@ class Halfspace:
 
     kind = "halfspace"
     normal: object = json_field(_array)
-    offset: float = json_field(float)
+    offset: float = json_field(json_float)
 
     def __post_init__(self):
         a = np.asarray(self.normal, dtype=float)
@@ -422,6 +452,17 @@ def json_keys(doc: dict, allowed, what: str) -> None:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
+@functools.cache
+def _json_fields(cls) -> tuple:
+    """The field table of ``cls``, split once: its declared fields as (name,
+    key, metadata), the names of its space fields, and the keys a document
+    of its kind may hold."""
+    fields = dataclasses.fields(cls)
+    declared = tuple((f.name, f.metadata["key"] or f.name, f.metadata) for f in fields if f.metadata)
+    space = tuple(f.name for f in fields if not f.metadata)
+    return declared, space, frozenset(["kind"] + [key for _, key, _ in declared])
+
+
 def json_read(kinds: dict, doc, what: str, **space):
     """The node or set of the class ``kinds`` maps the document's kind to,
     each declared field read through ``json_value`` and each other field
@@ -430,14 +471,12 @@ def json_read(kinds: dict, doc, what: str, **space):
     if not isinstance(kind, str) or kind not in kinds:
         raise ValueError(f"unknown {what} kind in document: {kind!r}")
     cls = kinds[kind]
-    fields = dataclasses.fields(cls)
-    json_keys(doc, ["kind"] + [f.metadata["key"] or f.name for f in fields if f.metadata],
-              repr(kind))
-    args = {f.name: space[f.name] for f in fields if not f.metadata}
-    for f in (f for f in fields if f.metadata):
-        m = f.metadata
+    declared, space_fields, keys = _json_fields(cls)
+    json_keys(doc, keys, repr(kind))
+    args = {name: space[name] for name in space_fields}
+    for name, key, m in declared:
         read = functools.partial(m["read"], **space) if m["nested"] else m["read"]
-        args[f.name] = json_value(doc, m["key"] or f.name, read, m["json_default"])
+        args[name] = json_value(doc, key, read, m["json_default"])
     return cls(**args)
 
 
@@ -450,8 +489,8 @@ def json_write(value):
         return [json_write(v) for v in value]
     if value is None or isinstance(value, (str, int, float)):
         return value
-    return {"kind": value.kind, **{f.metadata["key"] or f.name: json_write(getattr(value, f.name))
-                                   for f in dataclasses.fields(value) if f.metadata}}
+    return {"kind": value.kind, **{key: json_write(getattr(value, name))
+                                   for name, key, _ in _json_fields(type(value))[0]}}
 
 
 def json_value(doc: dict, key: str, convert, default=_REQUIRED):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from firmlp import certify, dynamics, feasibility
+from firmlp import certify, cli, dynamics, feasibility
 from firmlp.cli import main
 
 
@@ -741,3 +741,142 @@ class TestRemovedOverrides:
         cfg = write_config(tmp_path, "c.json", certify_config())
         assert main(["certify", "--config", cfg, "--out", str(tmp_path), flag, value]) == 1
         assert not (tmp_path / "certify_report.json").exists()
+
+
+class TestStrictConfigValues:
+    """Config integers are integral numbers in range, list entries included;
+    each rejection exits 1 naming its key (TestConfigTables covers the JSON
+    type of every key)."""
+
+    @pytest.mark.parametrize("command, doc, key, value", [
+        ("certify", certify_config(), "seed", -1),
+        ("semigroup", semigroup_config({"kind": "scale", "factor": -1.0}), "schedule", [8.9, 16]),
+        ("feasibility", feasibility_config(), "n_fejer", -3),
+        ("iterate", {"p": 3.0, "dim": 4, "operator": TWO_SWAPS, "x0": [1.0, 0.0, 0.0, 0.0]},
+         "n_fejer", -3),
+    ])
+    def test_rejected_naming_key(self, tmp_path, capsys, command, doc, key, value):
+        cfg = write_config(tmp_path, "c.json", dict(doc, **{key: value}))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_override_names_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", certify_config())
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path), "--seed", "-1"]) == 1
+        assert "'seed'" in capsys.readouterr().err
+
+    def test_integral_number_is_an_integer(self, tmp_path):
+        doc = dict(certify_config(), samples=1e3, dim=6.0)
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "certify_report.json").read_text())
+        assert report["samples"] == 1000
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("command, doc, key", [
+        ("certify", certify_config(), "report"),
+        ("resolvent", resolvent_config({"kind": "scale", "factor": -1.0}, [1.0], [3.0, 0.0]),
+         "report"),
+        ("semigroup", semigroup_config({"kind": "scale", "factor": -1.0}), "csv"),
+        ("feasibility", feasibility_config(), "summary"),
+    ])
+    def test_empty_output_name_exit1_names_key(self, tmp_path, capsys, command, doc, key):
+        cfg = write_config(tmp_path, "c.json", dict(doc, **{key: ""}))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_is_a_file_exit1_names_path(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", certify_config())
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 1
+        assert str(out) in capsys.readouterr().err
+
+    def test_output_is_a_directory_exit1_names_path(self, tmp_path, capsys):
+        taken = tmp_path / "out" / "feasibility.json"
+        taken.mkdir(parents=True)
+        cfg = write_config(tmp_path, "f.json", feasibility_config())
+        assert main(["feasibility", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert str(taken) in capsys.readouterr().err
+
+
+
+# A valid config per subcommand, and for each JSON type the values of another
+# type; a reader's JSON type is that of the first probe it takes.
+VALID_CONFIGS = {
+    "certify": lambda: dict(certify_config(), samples=100),
+    "iterate": lambda: {"p": 2.0, "dim": 2, "operator": {"kind": "scale", "factor": 0.5},
+                        "x0": [1.0, 0.0]},
+    "resolvent": lambda: resolvent_config({"kind": "scale", "factor": -1.0}, [1.0], [3.0, 0.0]),
+    "semigroup": lambda: semigroup_config({"kind": "scale", "factor": -1.0}),
+    "feasibility": lambda: feasibility_config(),
+}
+PROBES = [([], "list"), ({}, "object"), ("a", "string"), (True, "boolean"), (1.5, "number"),
+          (3, "integer")]
+WRONG_VALUES = {
+    "number": [True, "1"],
+    "integer": [2.5, True, "3"],
+    "string": [5, True],
+    "boolean": [1, "true"],
+    "list": [5, "ab"],
+    "object": [5, [], "ab"],
+}
+NULLABLE = {"w_grid", "min_norm"}  # null there stands for the library's default
+
+
+def reader_json_type(read):
+    if isinstance(read, dict):  # a nested document's table
+        return "object"
+    for sample, kind in PROBES:
+        try:
+            read(sample)
+        except (TypeError, ValueError):
+            continue
+        return kind
+    raise AssertionError(f"{read} takes no probe")
+
+
+def key_paths(keys, prefix=()):
+    for key, read in keys.items():
+        yield prefix + (key,), read
+        if isinstance(read, dict):
+            yield from key_paths(read, prefix + (key,))
+
+
+def wrong_type_cases():
+    for command, (_, keys, _, _) in cli._COMMANDS.items():
+        for path, read in key_paths(keys):
+            values = WRONG_VALUES[reader_json_type(read)]
+            for value in values + ([] if path[-1] in NULLABLE else [None]):
+                name = f"{command}-{'.'.join(path)}-{json.dumps(value)}"
+                yield pytest.param(command, path, value, id=name)
+
+
+class TestConfigTables:
+    """Derived from the reader tables in ``cli._COMMANDS``: each declared key,
+    nested ones included, set to a value of the wrong JSON type exits 1
+    naming the key, so a key added later is covered without an edit here."""
+
+    def test_every_command_has_a_valid_config(self, tmp_path):
+        assert set(VALID_CONFIGS) == set(cli._COMMANDS)
+        for command, build in VALID_CONFIGS.items():
+            cfg = write_config(tmp_path, "c.json", build())
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+
+    @pytest.mark.parametrize("command, path, value", list(wrong_type_cases()))
+    def test_wrong_json_type_exit1_names_key(self, tmp_path, capsys, command, path, value):
+        doc = VALID_CONFIGS[command]()
+        target = doc
+        for key in path[:-1]:
+            target = target.setdefault(key, {})
+        target[path[-1]] = value
+        cfg = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert f"'{path[-1]}'" in capsys.readouterr().err
+        assert not out.exists()

@@ -701,3 +701,34 @@ class TestJsonRoundTrip:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             operator_from_json({"kind": "mystery"}, SP2, 2)
+
+
+class TestStrictJsonValues:
+    """A JSON integer field takes an integral number only, and a number field
+    takes no boolean or string; each rejection names its key."""
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"kind": "swap", "i": True, "j": 2}, "i"),
+        ({"kind": "swap", "i": 0, "j": 2.9}, "j"),
+        ({"kind": "swap", "i": "0", "j": 2}, "i"),
+        ({"kind": "truncate", "k": 1.9}, "k"),
+        ({"kind": "truncate", "k": False}, "k"),
+        ({"kind": "scale", "factor": "0.5"}, "factor"),
+        ({"kind": "scale", "factor": True}, "factor"),
+        ({"kind": "affine", "W": [["1", "0"], ["0", True]]}, "W"),
+        ({"kind": "affine", "W": [[1.0, 0.0], [0.0, True]]}, "W"),
+        ({"kind": "affine", "W": [[1.0, 0.0], [0.0, 1.0]], "b": ["0", 0.0]}, "b"),
+        ({"kind": "averaged", "alpha": "0.5", "inner": {"kind": "swap", "i": 0, "j": 1}}, "alpha"),
+        ({"kind": "resolvent", "lam": True, "inner": {"kind": "scale", "factor": -1.0}}, "lam"),
+        ({"kind": "convex_combo", "weights": [True, 0.0],
+          "ops": [{"kind": "scale", "factor": 0.5}, {"kind": "scale", "factor": 0.5}]}, "weights"),
+        ({"kind": "activation", "name": 5}, "name"),
+    ])
+    def test_rejected_naming_key(self, doc, key):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            operator_from_json(doc, SP3, 4)
+
+    def test_integral_numbers_are_integers(self):
+        T = operator_from_json({"kind": "swap", "i": 0.0, "j": 3e0}, SP3, 4)
+        assert (T.i, T.j) == (0, 3) and type(T.i) is int
+        assert operator_from_json({"kind": "truncate", "k": 2.0}, SP3, 4).keep == 2

@@ -416,3 +416,32 @@ class TestScaleFreeMembership:
         assert np.array_equal(out, [0.0, 0.0, 1.0])
         out = project(AffineEqual(((0, 1, 2),)), np.array([-1.7e308, 1.7e308, 1.7e308]), sp)
         assert np.all(np.isfinite(out)) and np.all(np.abs(out) <= 1.7e308)
+
+
+class TestStrictJsonValues:
+    @pytest.mark.parametrize("doc, key", [
+        ({"kind": "affine_equal", "groups": [[0, 1.7]]}, "groups"),
+        ({"kind": "affine_equal", "groups": [[0, True]]}, "groups"),
+        ({"kind": "affine_equal", "fixed": [[0.5, 1.0]]}, "fixed"),
+        ({"kind": "affine_equal", "fixed": [[0, "1"]]}, "fixed"),
+        ({"kind": "ball", "center": [0.0, "0"], "radius": 1.0}, "center"),
+        ({"kind": "ball", "center": [0.0, 0.0], "radius": True}, "radius"),
+        ({"kind": "box", "lower": False, "upper": 1.0}, "lower"),
+        ({"kind": "halfspace", "normal": [1.0, 0.0], "offset": "0"}, "offset"),
+    ])
+    def test_rejected_naming_key(self, doc, key):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            set_from_json(doc)
+
+    def test_readers(self):
+        from firmlp.projections import json_float, json_int
+
+        assert json_int(1e5) == 100000 and type(json_int(1e5)) is int
+        assert json_int(-3) == -3
+        assert json_float(2) == 2.0 and type(json_float(2)) is float
+        for bad in (True, "3", 2.9, float("inf"), float("nan"), None, [1]):
+            with pytest.raises((TypeError, ValueError)):
+                json_int(bad)
+        for bad in (True, False, "0.5", None, [0.5]):
+            with pytest.raises(TypeError):
+                json_float(bad)

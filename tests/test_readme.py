@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from firmlp import cli
 from firmlp.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -34,3 +35,30 @@ def test_library_example_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == repr(2.0 / 3.0)
     assert lines[1].startswith("True ")
+
+
+def readme_key_table():
+    """Subcommand or nested document -> (required keys, optional keys), as
+    the README's config key table lists them."""
+    header = "| subcommand or document | required keys | optional keys |\n|---|---|---|\n"
+    rows = README.split(header)[1].split("\n\n")[0].splitlines()
+    table = {}
+    for row in rows:
+        name, required, optional = (re.findall(r"`(\w+)`", cell) for cell in row.strip("|").split("|"))
+        table[name[0]] = (set(required), set(optional))
+    return table
+
+
+def test_key_table_lists_the_declared_keys():
+    declared = {}
+
+    def nested(keys):
+        for key, read in keys.items():
+            if isinstance(read, dict):
+                declared[key] = (set(), set(read))
+                nested(read)
+
+    for command, (_, keys, required, _) in cli._COMMANDS.items():
+        declared[command] = (set(required), set(keys) - set(required))
+        nested(keys)
+    assert readme_key_table() == declared
