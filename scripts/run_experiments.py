@@ -24,6 +24,7 @@ COMMANDS = {
     "resolvent_negation.json": "resolvent",
     "semigroup_negation.json": "semigroup",
     "semigroup_tanh.json": "semigroup",
+    "iterate_swaps.json": "iterate",
     "feasibility_swaps.json": "feasibility",
     "feasibility_swaps_averaged.json": "feasibility",
 }

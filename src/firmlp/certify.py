@@ -14,7 +14,7 @@ firm terms enter as norm ratios over ||x - y||, so no r-th power overflows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -105,16 +105,7 @@ class CertReport:
 
 
 def report_to_json(report: CertReport) -> dict:
-    doc = {
-        "property": report.property,
-        "samples": report.samples,
-        "worst_residual": report.worst_residual,
-        "witness": None,
-        "estimated_min_alpha": report.estimated_min_alpha,
-        "passed": report.passed,
-        "degenerate_pairs": report.degenerate_pairs,
-        "details": report.details,
-    }
+    doc = asdict(report)
     if report.witness is not None:
         doc["witness"] = {
             "x": np.asarray(report.witness[0]).tolist(),

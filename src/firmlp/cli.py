@@ -131,9 +131,18 @@ def _write_json(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
-def _write_run(csv_path: Path, summary_path: Path, traj: dynamics.Trajectory, **extra) -> None:
-    """Write the trajectory CSV and its summary JSON, with ``extra`` keys
-    (such as "error" after a failed run) added to the summary."""
+def _run_trajectory(solve, out: Path, cfg: dict, csv: str, summary: str, label: str) -> int:
+    """Run ``solve`` and write its trajectory CSV and summary JSON, named by
+    the config's "csv" and "summary" keys or else by ``csv`` and ``summary``.
+    A failure that carries a partial trajectory writes that trajectory, with
+    the failure as the summary's "error", and exits 3."""
+    csv_path, summary_path = out / cfg.get("csv", csv), out / cfg.get("summary", summary)
+    try:
+        traj, error = solve(), None
+    except Exception as exc:
+        traj, error = getattr(exc, "trajectory", None), str(exc)
+        if traj is None:
+            raise
     with _output(csv_path) as fh:
         dynamics.trajectory_to_csv(traj, fh)
     summary = {
@@ -142,11 +151,19 @@ def _write_run(csv_path: Path, summary_path: Path, traj: dynamics.Trajectory, **
         "stop_reason": traj.stop_reason,
         "final_step_norm": traj.final_residual,
         "limit": traj.limit.tolist(),
+        "membership_residuals": traj.membership_residuals,
+        "error": error,
     }
     if traj.fejer_distances is not None:
         summary["fejer_nonincreasing"] = traj.fejer_nonincreasing
         summary["fejer_final_distances"] = traj.fejer_distances[-1].tolist()
-    _write_json(summary_path, summary | extra)
+    # a key the run has no value for is left out
+    _write_json(summary_path, {key: v for key, v in summary.items() if v is not None})
+    if error is None:
+        print(f"{label}: {traj.stop_reason} after {len(traj.step_norms)} steps -> {csv_path}")
+        return EXIT_OK
+    print(f"numeric failure ({traj.stop_reason}): {error} -> {csv_path}", file=sys.stderr)
+    return EXIT_NUMERIC
 
 
 # ---------------------------------------------------------------------------
@@ -186,17 +203,8 @@ def _cmd_iterate(out: Path, cfg: dict, sp, T) -> int:
         "auto_fejer" if key == "n_fejer" else key: cfg[key]
         for key in ("n_fejer", "seed", "track_fix_projections") if key in cfg
     })
-    csv_path = out / cfg.get("csv", "trajectory.csv")
-    summary_path = out / cfg.get("summary", "summary.json")
-    try:
-        traj = dynamics.picard_iterate(T, cfg["x0"], stop, monitors)
-    except dynamics.DivergenceError as exc:
-        _write_run(csv_path, summary_path, exc.trajectory, error=str(exc))
-        print(f"divergence: {exc} -> {csv_path}", file=sys.stderr)
-        return EXIT_NUMERIC
-    _write_run(csv_path, summary_path, traj)
-    print(f"iterate: {traj.stop_reason} after {len(traj.step_norms)} steps -> {csv_path}")
-    return EXIT_OK
+    solve = partial(dynamics.picard_iterate, T, cfg["x0"], stop, monitors)
+    return _run_trajectory(solve, out, cfg, "trajectory.csv", "summary.json", "iterate")
 
 
 def _cmd_resolvent(out: Path, cfg: dict, sp, F) -> int:
@@ -251,27 +259,16 @@ def _cmd_feasibility(out: Path, cfg: dict, sp, specs) -> int:
     stop = dynamics.StopRule(**cfg.get("stop", {}))
     mode = cfg.get("mode", "alternating")
     monitors = {key: cfg[key] for key in ("n_fejer", "seed") if key in cfg}
-    csv_path = out / cfg.get("csv", "feasibility.csv")
-    summary_path = out / cfg.get("summary", "feasibility.json")
-    try:
-        if mode == "alternating":
-            traj = feasibility.alternating_projections(specs, cfg["x0"], stop, sp, **monitors)
-        elif mode == "averaged":
-            weights = cfg.get("weights", [1.0 / len(specs)] * len(specs))
-            traj = feasibility.averaged_projections(specs, weights, cfg["x0"], stop, sp, **monitors)
-        else:
-            raise ConfigError(f"unknown mode {mode!r}")
-    except feasibility.EmptyIntersectionError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
-    except feasibility.FeasibilityError as exc:
-        _write_run(csv_path, summary_path, exc.trajectory, error=str(exc))
-        print(f"feasibility failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    residuals = [float(feasibility.membership_residual(s.image, traj.limit, sp.p)) for s in specs]
-    _write_run(csv_path, summary_path, traj, membership_residuals=residuals)
-    print(f"feasibility: {mode} scheme, {len(traj.step_norms)} steps -> {csv_path}")
-    return EXIT_OK
+    if mode == "alternating":
+        solve = partial(feasibility.alternating_projections, specs, cfg["x0"], stop, sp, **monitors)
+    elif mode == "averaged":
+        weights = cfg.get("weights", [1.0 / len(specs)] * len(specs))
+        solve = partial(feasibility.averaged_projections, specs, weights, cfg["x0"], stop, sp,
+                        **monitors)
+    else:
+        raise ConfigError(f"unknown mode {mode!r}")
+    return _run_trajectory(solve, out, cfg, "feasibility.csv", "feasibility.json",
+                           f"feasibility ({mode} scheme)")
 
 
 _floats = _list_of(json_float)
@@ -307,29 +304,31 @@ _COMMANDS = {
 }
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="firmlp",
+    usage="%(prog)s COMMAND --config FILE [--out DIR] [--seed N]",
+    description="Experiment runner: inequality certification, fixed-point "
+    "iteration, resolvent and semigroup studies, feasibility solves.",
+)
+_PARSER.add_argument("command", choices=_COMMANDS, metavar="COMMAND",
+                     help=f"one of {', '.join(_COMMANDS)}")
+_PARSER.add_argument("--config", required=True, metavar="FILE", help="JSON config file")
+_PARSER.add_argument("--out", default=".", metavar="DIR", help="output directory")
+_PARSER.add_argument("--seed", type=int, default=None, metavar="N", help="override config seed")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="firmlp",
-        description="Experiment runner: inequality certification, fixed-point "
-        "iteration, resolvent and semigroup studies, feasibility solves.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     run, keys, required, vector = _COMMANDS[args.command]
     try:
         return run(Path(args.out), *_prepare(args, keys, required, vector))
-    except feasibility.IsometryCheckError as exc:
-        print(f"rejected isometry: {exc}", file=sys.stderr)
+    except (feasibility.IsometryCheckError, feasibility.EmptyIntersectionError) as exc:
+        print(f"property failure: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
-    except (ResolventDiverged, dynamics.DivergenceError, NonFiniteError) as exc:
+    except (ResolventDiverged, NonFiniteError) as exc:
         # config vectors are checked finite, so a NaN or Inf arose in the run
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import _firm_slack, _separation
-from .operators import OperatorExpr, Scale, compose, resolvent_operator
+from .operators import OperatorExpr, ResolventDiverged, Scale, compose, resolvent_operator
 from .projections import project, sample_points
-from .space import SpaceParams, lp_norm
+from .space import NonFiniteError, SpaceParams, lp_norm
 
 __all__ = [
     "StopRule",
@@ -104,6 +104,7 @@ class Trajectory:
     fejer_distances: np.ndarray | None = None
     fejer_nonincreasing: bool | None = None
     fix_projections: np.ndarray | None = None
+    membership_residuals: list | None = None  # feasibility: the limit's residual to each image
 
     @property
     def limit(self) -> np.ndarray:
@@ -150,7 +151,8 @@ def picard_iterate(
     within-tolerance final application is not appended; its displacement
     is kept as ``final_residual``.  Iterates exceeding the overflow guard, or
     overflowing to Inf or NaN, raise ``DivergenceError`` carrying the
-    partial trajectory.
+    partial trajectory, and a ``ResolventDiverged`` or ``NonFiniteError``
+    raised by T propagates carrying it the same way.
     """
     if monitors is None:
         raise ValueError(
@@ -165,8 +167,13 @@ def picard_iterate(
     guard = OVERFLOW_FACTOR * (1.0 + bound)
     iterates = [x]
     steps: list[float] = []
+    failure = None
     while True:
-        x_next = T(x)
+        try:
+            x_next = T(x)
+        except (ResolventDiverged, NonFiniteError) as exc:
+            failure, step, reason = exc, np.inf, "divergence"
+            break
         try:
             step = float(lp_norm(x_next - x, p))
             if not steps:  # the stop is relative to max(||x_0||, first step)
@@ -198,9 +205,11 @@ def picard_iterate(
     )
     _attach_monitors(traj, T, monitors)
     if reason == "divergence":
-        raise DivergenceError(
+        failure = failure or DivergenceError(
             f"iterate norm exceeded the overflow guard after {len(steps)} steps", traj
         )
+        failure.trajectory = traj
+        raise failure
     return traj
 
 

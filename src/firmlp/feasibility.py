@@ -148,14 +148,14 @@ def intersect_images(specs) -> object:
 
 def _run_scheme(
     T: OperatorExpr,
-    intersection,
+    specs,
     x0,
     stop: StopRule,
     sp: SpaceParams,
-    specs,
     n_fejer: int,
     seed: int,
 ) -> Trajectory:
+    intersection = intersect_images(specs)
     rng = np.random.default_rng(seed)
     dim = np.asarray(x0).shape[-1]
     fejer = sample_points(intersection, rng, max(n_fejer, 1), dim, sp.p)
@@ -166,8 +166,9 @@ def _run_scheme(
             f"no convergence within {stop.max_iter} iterations", trajectory=traj
         )
     size = max(np.abs(x0).max(), np.abs(traj.limit).max())  # the stop is relative to x0
-    for k, s in enumerate(specs):
-        res = float(membership_residual(s.image, traj.limit, sp.p))
+    traj.membership_residuals = [float(membership_residual(s.image, traj.limit, sp.p))
+                                 for s in specs]
+    for k, res in enumerate(traj.membership_residuals):
         if res > MEMBERSHIP_TOL * size:
             raise FeasibilityError(
                 f"limit misses image subspace {k} by {res:.3e}", trajectory=traj
@@ -191,9 +192,8 @@ def alternating_projections(
     specs = list(specs)
     if not specs:
         raise ValueError("need at least one projection spec")
-    intersection = intersect_images(specs)
     T = compose([s.projection for s in reversed(specs)], sp)
-    return _run_scheme(T, intersection, x0, stop, sp, specs, n_fejer, seed)
+    return _run_scheme(T, specs, x0, stop, sp, n_fejer, seed)
 
 
 def averaged_projections(
@@ -213,9 +213,8 @@ def averaged_projections(
         raise ValueError("need one weight per projection spec")
     if any(not 0.0 < w < 1.0 for w in weights):
         raise ValueError("averaged-scheme weights must lie strictly in (0, 1)")
-    intersection = intersect_images(specs)
     T = convex_combination([s.projection for s in specs], weights)
-    return _run_scheme(T, intersection, x0, stop, sp, specs, n_fejer, seed)
+    return _run_scheme(T, specs, x0, stop, sp, n_fejer, seed)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 from pathlib import Path
@@ -259,6 +260,25 @@ class TestIterateCommand:
         assert main(["iterate", "--config", cfg, "--out", str(tmp_path)]) == 3
         # partial output still written
         assert (tmp_path / "trajectory.csv").exists()
+
+    def test_resolvent_failure_writes_partial_run_exit3(self, tmp_path):
+        # the README promises the partial artifact on every numeric failure;
+        # here T itself raises on its first step, since lam/(1+lam) rounds to 1
+        doc = {
+            "p": 3.0,
+            "dim": 2,
+            "operator": {"kind": "resolvent", "lam": 1e17,
+                         "inner": {"kind": "activation", "name": "tanh"}},
+            "x0": [1.0, 0.0],
+        }
+        cfg = write_config(tmp_path, "i.json", doc)
+        out = tmp_path / "out"
+        assert main(["iterate", "--config", cfg, "--out", str(out)]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert "rounds to 1" in summary["error"]
+        assert summary["iterations"] == 0 and summary["converged"] is False
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert len(lines) == 2  # header plus x0
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_is_numeric_exit3(self, tmp_path):
@@ -880,3 +900,52 @@ class TestConfigTables:
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert f"'{path[-1]}'" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestRunPath:
+    """Every subcommand runs through one parser, built once, and iterate and
+    feasibility hand their solves to one trajectory writer."""
+
+    def test_help_exits0_listing_commands(self, capsys):
+        assert main(["--help"]) == 0
+        usage = capsys.readouterr().out
+        assert all(command in usage for command in cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", [[], ["frobnicate"]], ids=["missing", "unknown"])
+    def test_missing_or_unknown_command_exit1(self, tmp_path, command):
+        cfg = write_config(tmp_path, "c.json", certify_config())
+        assert main(command + ["--config", cfg, "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / "certify_report.json").exists()
+
+    def test_options_before_command(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", certify_config())
+        assert main(["--out", str(tmp_path), "--config", cfg, "--seed", "1", "certify"]) == 0
+        assert json.loads((tmp_path / "certify_report.json").read_text())["passed"] is True
+
+    def test_main_builds_no_parser(self, tmp_path, monkeypatch):
+        built, construct = [], argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            construct(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cfg = write_config(tmp_path, "f.json", feasibility_config())
+        for _ in range(2):
+            assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert built == []
+
+    @pytest.mark.parametrize("operator", [
+        {"kind": "scale", "factor": 2.0},
+        {"kind": "resolvent", "lam": 1e17, "inner": {"kind": "activation", "name": "tanh"}},
+    ], ids=["divergence", "resolvent"])
+    def test_failures_write_the_same_summary_keys(self, tmp_path, operator):
+        cfg = write_config(tmp_path, "f.json", feasibility_config(stop={"max_iter": 3}))
+        assert main(["feasibility", "--config", cfg, "--out", str(tmp_path / "f")]) == 3
+        doc = {"p": 3.0, "dim": 2, "operator": operator, "x0": [1.0, 0.0], "n_fejer": 2}
+        cfg = write_config(tmp_path, "i.json", doc)
+        assert main(["iterate", "--config", cfg, "--out", str(tmp_path / "i")]) == 3
+        feasible = json.loads((tmp_path / "f" / "feasibility.json").read_text())
+        iterate = json.loads((tmp_path / "i" / "summary.json").read_text())
+        assert "error" in feasible and "fejer_final_distances" in feasible
+        assert feasible.keys() == iterate.keys()
