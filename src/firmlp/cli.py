@@ -228,7 +228,12 @@ def _cmd_resolvent(out: Path, cfg: dict, sp, F) -> int:
 
 def _cmd_semigroup(out: Path, cfg: dict, sp, F) -> int:
     t = cfg["t"]
-    est = dynamics.semigroup_limit_estimate(F, t, cfg["x"], cfg["schedule"], sp)
+    try:
+        est, error = dynamics.semigroup_limit_estimate(F, t, cfg["x"], cfg["schedule"], sp), None
+    except (ResolventDiverged, NonFiniteError) as exc:
+        est, error = getattr(exc, "estimate", None), str(exc)
+        if est is None:
+            raise
     errors = est.closed_form_errors
     csv_path = out / cfg.get("csv", "semigroup.csv")
     with _output(csv_path) as fh:
@@ -242,14 +247,16 @@ def _cmd_semigroup(out: Path, cfg: dict, sp, F) -> int:
     summary = {
         "t": t,
         "schedule": list(est.schedule),
-        "value": est.value.tolist(),
+        "value": None if est.value is None else est.value.tolist(),
         "cauchy_ok": est.cauchy_ok,
+        "axiom_checks": est.axiom_checks,
+        "error": error,
     }
-    if est.axiom_checks is not None:
-        summary["axiom_checks"] = est.axiom_checks
-    _write_json(out / cfg.get("summary", "semigroup.json"), summary)
-    if not est.cauchy_ok:
-        print("semigroup: non-Cauchy value sequence", file=sys.stderr)
+    _write_json(out / cfg.get("summary", "semigroup.json"),
+                {key: v for key, v in summary.items() if v is not None})
+    if not est.cauchy_ok:  # false after a numeric failure too
+        print(f"numeric failure: {error or 'non-Cauchy value sequence'} -> {csv_path}",
+              file=sys.stderr)
         return EXIT_NUMERIC
     print(f"semigroup: {len(est.schedule)} products -> {csv_path}")
     return EXIT_OK

@@ -299,8 +299,7 @@ class SemigroupEstimate:
     values: np.ndarray  # (len(schedule), d)
     diffs: np.ndarray  # successive value gaps
     cauchy_ok: bool
-    value: np.ndarray  # last evaluation
-    closed_form_limit: np.ndarray | None = None
+    value: np.ndarray | None  # last evaluation, if any
     closed_form_errors: np.ndarray | None = None
     axiom_checks: dict | None = None
 
@@ -319,28 +318,32 @@ def semigroup_limit_estimate(
     F = c*Id the limit e^{-(1-c)t} x is exact, so errors against it and the
     semigroup axioms (identity at t -> 0, additivity, nonexpansiveness) are
     reported as well.
+
+    A ``ResolventDiverged`` or ``NonFiniteError`` from a product propagates
+    carrying the products finished before it as ``estimate`` (not Cauchy).
     """
     schedule = tuple(int(n) for n in n_schedule)
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("n_schedule must be nonempty and strictly increasing")
     x = np.asarray(x, dtype=float)
     x_norm = float(lp_norm(x, sp.p))
-    values = np.asarray([semigroup_product(F, t, n, sp)(x) for n in schedule])
+    values, failure = np.empty((len(schedule), x.size)), None
+    for k, n in enumerate(schedule):
+        try:
+            values[k] = semigroup_product(F, t, n, sp)(x)
+        except (ResolventDiverged, NonFiniteError) as exc:
+            failure, schedule, values = exc, schedule[:k], values[:k]
+            break
     diffs = lp_norm(np.diff(values, axis=0), sp.p)
     last_ok = diffs.size == 0 or diffs[-1] <= SEMIGROUP_TOL * x_norm
-    cauchy_ok = bool(last_ok or np.all(diffs[1:] <= 0.95 * diffs[:-1]))
-    est = SemigroupEstimate(
-        schedule=schedule,
-        values=values,
-        diffs=diffs,
-        cauchy_ok=cauchy_ok,
-        value=values[-1],
-    )
+    cauchy_ok = failure is None and bool(last_ok or np.all(diffs[1:] <= 0.95 * diffs[:-1]))
+    est = SemigroupEstimate(schedule, values, diffs, cauchy_ok, values[-1] if len(values) else None)
+    if failure is not None:
+        failure.estimate = est
+        raise failure
     if isinstance(F, Scale):
         rate = 1.0 - F.factor
-        limit = np.exp(-rate * t) * x
-        est.closed_form_limit = limit
-        est.closed_form_errors = lp_norm(values - limit, sp.p)
+        est.closed_form_errors = lp_norm(values - np.exp(-rate * t) * x, sp.p)
         n_big = schedule[-1]
         t_small = min(t, 1e-3) if t > 0 else 1e-3
         near_id = semigroup_product(F, t_small, n_big, sp)(x)

@@ -1,9 +1,10 @@
 """Composable operator expressions on finite lp vectors.
 
 An expression is a small immutable tree of atoms (affine maps, scalings,
-coordinate truncations, coordinate swaps, activations) and combinators
-(averaging with the identity, composition, convex combination, resolvents,
-contractive projections).  Each node carries metadata recording what is
+coordinate truncations, coordinate swaps, ``relu`` and ``tanh``) and
+combinators (averaging with the identity, composition, convex combination,
+resolvents), one form each: the identity is ``Scale(1)`` and (Id + U)/2 is
+``Averaged(U, 1/2)``.  Each node carries metadata recording what is
 provable about it: a nonexpansiveness flag, a firm constant ``alpha_firm``,
 an averaging constant ``averaged`` and, where exactly known, the
 fixed-point set as a convex-set descriptor.
@@ -14,7 +15,8 @@ combinators implement the propagation rules
 
 * averaging:    (1-a)Id + aR with R nonexpansive is a-averaged and a-firm;
 * composition:  firm route (1 + (1 - a_max)/(n^(r-1) a_max))^(-1),
-                averaged route 1 - prod(1 - a_i);
+                averaged route 1 - prod(1 - a_i), over the n operands
+                other than identities (the identity is neutral);
 * convex sums:  firm route max(a_i), averaged route sum(w_i a_i);
 
 keeping the smaller (stronger) firm constant whenever both routes apply.
@@ -27,8 +29,8 @@ that all carry firm constants (the quasi-firm calculus), provided the
 intersection is structurally nonempty (``projections.merge_fixed_point_sets``
 states the rule).
 
-Nodes that are affine on their input (the affine, scale, truncation, swap
-and identity atoms; averages, compositions and convex combinations of
+Nodes that are affine on their input (the affine, scale, truncation and
+swap atoms; averages, compositions and convex combinations of
 affine nodes; closed-form resolvents) set ``affine``.  ``affine_form`` then
 reads their matrix and offset off the map itself: the offset is T(0), and
 the matrix is the same tree evaluated with every offset dropped
@@ -68,7 +70,6 @@ from .projections import (
     json_field,
     json_float,
     json_int,
-    json_keys,
     json_read,
     json_str,
     json_value,
@@ -283,39 +284,35 @@ class Scale(OperatorExpr):
 
 
 def identity() -> Scale:
+    """Scale(1), the one identity node; compositions ignore it."""
     return Scale(1.0)
 
 
 @dataclass(eq=False)
 class Truncate(OperatorExpr):
-    """Keep the first ``keep`` coordinates, zero the rest.
+    """Keep the first ``keep`` of ``dim`` coordinates, zero the rest.
 
-    The node carries the exact firm constant c_r/(c_r + 2) of the space
-    ``sp``.  Given the ambient dimension ``dim``, it acts on that dimension
-    only and carries its coordinate-subspace fixed set.
+    The node acts on dimension ``dim`` only, and carries the exact firm
+    constant c_r/(c_r + 2) of the space ``sp`` and its coordinate-subspace
+    fixed set.
     """
 
     kind = "truncate"
     keep: int = json_field(json_int, key="k")
     sp: SpaceParams
-    dim: int | None = None
+    dim: int
 
     def __post_init__(self):
-        self.keep = int(self.keep)
-        self.dim = None if self.dim is None else int(self.dim)
-        if self.keep < 1 or (self.dim is not None and self.keep >= self.dim):
+        self.keep, self.dim = int(self.keep), int(self.dim)
+        if not 1 <= self.keep < self.dim:
             raise ValueError(f"truncation requires 1 <= k < dim, got k={self.keep}, dim={self.dim}")
         self.affine = True
-        self.dims = (self.keep + 1, None)
-        fixed = None
-        if self.dim is not None:
-            self.dims = (self.dim, self.dim)
-            kept = np.arange(self.dim) < self.keep
-            fixed = Box(np.where(kept, -np.inf, 0.0), np.where(kept, np.inf, 0.0))
+        self.dims = (self.dim, self.dim)
+        kept = np.arange(self.dim) < self.keep
         self.meta = OperatorMeta(
             proven_nonexpansive=True,
             alpha_firm=self.sp.c_r / (self.sp.c_r + 2.0),
-            fixed_points=fixed,
+            fixed_points=Box(np.where(kept, -np.inf, 0.0), np.where(kept, np.inf, 0.0)),
         )
 
     def _apply(self, x, linear=False):
@@ -349,16 +346,10 @@ class SwapIsometry(OperatorExpr):
         return out
 
 
+# name -> (coordinatewise map, fixed set)
 _ACTIVATIONS = {
-    "relu": lambda x: np.maximum(x, 0.0),
-    "tanh": np.tanh,
-    "identity": lambda x: x,
-}
-
-_ACTIVATION_FIX = {
-    "relu": Box(0.0, np.inf),
-    "tanh": ORIGIN,
-    "identity": WHOLE_SPACE,
+    "relu": (lambda x: np.maximum(x, 0.0), Box(0.0, np.inf)),
+    "tanh": (np.tanh, ORIGIN),
 }
 
 
@@ -375,23 +366,20 @@ class Activation(OperatorExpr):
 
     def __post_init__(self):
         if self.name not in _ACTIVATIONS:
-            raise ValueError(
-                f"unknown activation {self.name!r}; choose from {sorted(_ACTIVATIONS)}"
-            )
-        self.affine = self.name == "identity"
+            raise ValueError(f"unknown activation {self.name!r}, not in {sorted(_ACTIVATIONS)}")
         self.meta = OperatorMeta(
             proven_nonexpansive=True,
             alpha_firm=0.5,
             averaged=0.5,
-            fixed_points=_ACTIVATION_FIX[self.name],
+            fixed_points=_ACTIVATIONS[self.name][1],
         )
 
     def _apply(self, x, linear=False):
-        return _ACTIVATIONS[self.name](x)
+        return _ACTIVATIONS[self.name][0](x)
 
 
 def stable_activation(name: str) -> Activation:
-    """Activation atom by name ('relu', 'tanh' or 'identity')."""
+    """Activation atom by name ('relu' or 'tanh')."""
     return Activation(name)
 
 
@@ -479,10 +467,11 @@ def _combined_meta(ops, firm, avg, fixed_sets) -> OperatorMeta:
 class Compose(OperatorExpr):
     """ops[0] applied last: Compose([A, B])(x) = A(B(x)).
 
-    The firm route needs every operand to carry a firm constant, and its
-    constant depends on r of the space ``sp``; the averaged route needs
-    every operand to carry an averaging constant.  The smaller resulting
-    firm constant is kept.
+    Metadata comes from the operands other than identities (only Id has
+    the whole space as fixed set), or is the identity's when all are.  The
+    firm route needs each to carry a firm constant, and its constant
+    depends on r of the space ``sp``; the averaged route needs each to
+    carry an averaging constant.  The smaller firm constant is kept.
     """
 
     kind = "compose"
@@ -496,16 +485,20 @@ class Compose(OperatorExpr):
         self.ops = ops
         self.dims = _merged_dims(ops)
         self.affine = self.compiled = all(op.affine for op in ops)
-        alphas = [op.meta.alpha_firm for op in ops]
+        factors = [op for op in ops if op.meta.fixed_points is not WHOLE_SPACE]
+        if not factors:
+            self.meta = ops[0].meta
+            return
+        alphas = [op.meta.alpha_firm for op in factors]
         firm = None
         if all(a is not None for a in alphas):
             a_max = max(alphas)
-            firm = 1.0 / (1.0 + (1.0 - a_max) / (len(ops) ** (self.sp.r - 1.0) * a_max))
-        avgs = [op.meta.averaged for op in ops]
+            firm = 1.0 / (1.0 + (1.0 - a_max) / (len(factors) ** (self.sp.r - 1.0) * a_max))
+        avgs = [op.meta.averaged for op in factors]
         avg = None
         if all(a is not None for a in avgs):
             avg = 1.0 - math.prod(1.0 - a for a in avgs)
-        self.meta = _combined_meta(ops, firm, avg, [op.meta.fixed_points for op in ops])
+        self.meta = _combined_meta(factors, firm, avg, [op.meta.fixed_points for op in factors])
 
     def _apply(self, x, linear=False):
         for op in reversed(self.ops):
@@ -767,11 +760,7 @@ def operator_from_json(doc: dict, sp: SpaceParams, dim: int) -> OperatorExpr:
     field, raises ValueError naming its key."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("operator document must be an object with a 'kind' tag")
-    kind = doc["kind"]
-    if kind == "contractive_projection":  # legacy: (Id + U)/2 with U under "isometry"
-        json_keys(doc, ("kind", "isometry"), repr(kind))
-        return Averaged(json_value(doc, "isometry", lambda U: operator_from_json(U, sp, dim)), 0.5)
-    if kind == "affine" and "guarantee_nonexpansive" in doc:  # a flag, not a field
+    if doc["kind"] == "affine" and "guarantee_nonexpansive" in doc:  # a flag, not a field
         rescale = json_value(doc, "guarantee_nonexpansive", json_bool)
         rest = {k: v for k, v in doc.items() if k != "guarantee_nonexpansive"}
         T = json_read(_KINDS, rest, "operator", p=sp.p)

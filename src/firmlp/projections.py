@@ -283,15 +283,15 @@ def membership_residual(C, x, p: float):
     raise TypeError(f"unknown convex set kind: {type(C).__name__}")
 
 
-def is_member(C, x, p: float, tol: float = FEASIBILITY_TOL) -> bool:
-    """Whether each row of x has residual <= tol * max|x| (for a ball, the
-    max with max|center| and radius): no absolute floor, so (c x, c C) gets
-    the same verdict at every c > 0, and the origin admits only 0."""
+def is_member(C, x, p: float) -> bool:
+    """Whether each row of x has residual <= FEASIBILITY_TOL * max|x| (for a
+    ball, the max with max|center| and radius): no absolute floor, so
+    (c x, c C) gets the same verdict at every c > 0; the origin admits only 0."""
     x = np.asarray(x, dtype=float)
     size = np.abs(x).max(axis=-1)
     if isinstance(C, Ball):
         size = np.maximum(size, max(np.abs(C.center).max(initial=0.0), C.radius))
-    return bool(np.all(membership_residual(C, x, p) <= tol * size))
+    return bool(np.all(membership_residual(C, x, p) <= FEASIBILITY_TOL * size))
 
 
 def sample_points(

@@ -295,10 +295,10 @@ def test_criterion_10_cli_determinism(tmp_path):
                 "operator": {
                     "kind": "compose",
                     "ops": [
-                        {"kind": "contractive_projection",
-                         "isometry": {"kind": "swap", "i": 1, "j": 2}},
-                        {"kind": "contractive_projection",
-                         "isometry": {"kind": "swap", "i": 0, "j": 1}},
+                        {"kind": "averaged", "alpha": 0.5,
+                         "inner": {"kind": "swap", "i": 1, "j": 2}},
+                        {"kind": "averaged", "alpha": 0.5,
+                         "inner": {"kind": "swap", "i": 0, "j": 1}},
                     ],
                 },
                 "x0": [1.0, 0.0, 0.0, 0.0], "n_fejer": 3, "seed": 5,

@@ -219,8 +219,8 @@ class TestIterateCommand:
             "operator": {
                 "kind": "compose",
                 "ops": [
-                    {"kind": "contractive_projection", "isometry": {"kind": "swap", "i": 1, "j": 2}},
-                    {"kind": "contractive_projection", "isometry": {"kind": "swap", "i": 0, "j": 1}},
+                    {"kind": "averaged", "alpha": 0.5, "inner": {"kind": "swap", "i": 1, "j": 2}},
+                    {"kind": "averaged", "alpha": 0.5, "inner": {"kind": "swap", "i": 0, "j": 1}},
                 ],
             },
             "x0": [1.0, 0.0, 0.0, 0.0],
@@ -540,6 +540,18 @@ class TestSemigroupCommand:
         assert main(["semigroup", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "semigroup t must be finite" in capsys.readouterr().err
 
+    def test_numeric_failure_writes_files_exit3(self, tmp_path, capsys):
+        # t/n = 1.25e16 at n = 8: lam/(1+lam) rounds to 1 in the first product
+        cfg = self.config(tmp_path, schedule=(8, 16), t=1e17, p=3.0,
+                          operator={"kind": "activation", "name": "tanh"})
+        assert main(["semigroup", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+        lines = (tmp_path / "semigroup.csv").read_text().splitlines()
+        assert lines == ["n,t,x_1,x_2,diff,closed_form_error"]
+        summary = json.loads((tmp_path / "semigroup.json").read_text())
+        assert "rounds to 1" in summary["error"]
+        assert summary["cauchy_ok"] is False and summary["schedule"] == []
+
 
 class TestFeasibilityCommand:
     def test_alternating(self, tmp_path):
@@ -685,8 +697,9 @@ class TestDocumentKeys:
         ({"kind": "averaged", "alpha": 0.5,
           "inner": {"kind": "swap", "i": 0, "j": 1, "k": 2}}, "k"),
         ({"kind": "compose", "ops": [{"kind": "truncate", "k": 1, "dim": 2}]}, "dim"),
-        ({"kind": "contractive_projection", "isometry": {"kind": "swap", "i": 0, "j": 1},
-          "alpha": 0.25}, "alpha"),
+        ({"kind": "contractive_projection", "isometry": {"kind": "swap", "i": 0, "j": 1}},
+         "contractive_projection"),
+        ({"kind": "activation", "name": "identity"}, "identity"),
     ])
     def test_undeclared_operator_key_exit1(self, tmp_path, capsys, operator, key):
         cfg = write_config(tmp_path, "i.json", self.iterate_config(operator))

@@ -379,7 +379,7 @@ AFFINE_CASES = {
     "scale": lambda sp, d: Scale(-0.5),
     "swap": lambda sp, d: SwapIsometry(0, 2),
     "truncate": lambda sp, d: Truncate(2, sp, d),
-    "identity": lambda sp, d: Activation("identity"),
+    "identity": lambda sp, d: identity(),
     "averaged": lambda sp, d: Averaged(SwapIsometry(1, 3), 0.3),
     "compose": lambda sp, d: two_swap_chain(sp),
     "convex_combo": lambda sp, d: ConvexCombo(

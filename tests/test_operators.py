@@ -55,7 +55,7 @@ def assert_same_meta(a, b):
 
 class TestApply:
     def test_truncate(self):
-        assert np.allclose(Truncate(1, SP2)([3.0, 4.0, 5.0]), [3.0, 0.0, 0.0])
+        assert np.allclose(Truncate(1, SP2, 3)([3.0, 4.0, 5.0]), [3.0, 0.0, 0.0])
 
     def test_swap(self):
         assert np.allclose(SwapIsometry(0, 1)([1.0, 0.0, 0.0, 0.0]), [0, 1, 0, 0])
@@ -65,7 +65,7 @@ class TestApply:
         assert np.allclose(T([2.0, 2.0]), [0.0, 0.0])
 
     def test_compose_is_right_to_left(self):
-        A, B = Truncate(1, SP2), SwapIsometry(0, 1)
+        A, B = Truncate(1, SP2, 3), SwapIsometry(0, 1)
         x = np.array([1.0, 2.0, 3.0])
         assert np.allclose(Compose((A, B), SP2)(x), A(B(x)))
 
@@ -80,7 +80,7 @@ class TestApply:
         with pytest.raises(DimensionMismatch):
             SwapIsometry(0, 3)([1.0, 2.0])
         with pytest.raises(DimensionMismatch):
-            Truncate(2, SP2)([1.0, 2.0])
+            Truncate(2, SP2, 3)([1.0, 2.0])
         with pytest.raises(DimensionMismatch):
             Affine(np.eye(3), np.zeros(3), p=2.0)([1.0, 2.0])
 
@@ -98,7 +98,7 @@ class TestApply:
     )
     def test_convex_combo_linearity(self, xs, w, a):
         x = np.array(xs)
-        ops = [averaged(SwapIsometry(0, 1), a), Truncate(1, SP2), Scale(0.5)]
+        ops = [averaged(SwapIsometry(0, 1), a), Truncate(1, SP2, 3), Scale(0.5)]
         weights = [w / 2, w / 2, 1.0 - w]
         T = ConvexCombo(tuple(ops), tuple(weights))
         direct = sum(wi * op(x) for wi, op in zip(weights, ops))
@@ -177,7 +177,7 @@ class TestCompose:
     def test_associativity(self):
         rng = np.random.default_rng(0)
         A = averaged(SwapIsometry(0, 1), 0.5)
-        B = Truncate(2, SP2)
+        B = Truncate(2, SP2, 3)
         C = Scale(0.7)
         x = rng.uniform(-5, 5, size=(50, 3))
         left = compose([compose([A, B], SP2), C], SP2)
@@ -195,6 +195,22 @@ class TestCompose:
             T, T.meta.alpha_firm, SP3, (Sampler(seed=21, dim=5), Sampler(seed=22, dim=5)), n=10_000
         )
         assert rep.passed
+
+    def test_identity_is_neutral(self):
+        P = Averaged(SwapIsometry(0, 1), 0.5)
+        for ops in ((identity(), P), (P, identity()), (identity(), P, identity())):
+            T = Compose(ops, SP3)
+            assert (T.meta.alpha_firm, T.meta.averaged) == (0.5, 0.5)
+            assert T.meta.fixed_points == AffineEqual(groups=((0, 1),))
+        rep = certify_alpha_firm(
+            T, 0.5, SP3, (Sampler(seed=23, dim=3), Sampler(seed=24, dim=3)), n=10_000
+        )
+        assert rep.passed
+
+    def test_composition_of_identities_is_the_identity(self):
+        T = compose([identity(), identity()], SP3)
+        assert_same_meta(T.meta, identity().meta)
+        assert T.affine and np.array_equal(T(np.arange(3.0)), np.arange(3.0))
 
 
 class TestConvexCombination:
@@ -276,10 +292,6 @@ class TestActivations:
     def test_tanh_fixes_zero(self):
         assert stable_activation("tanh")([0.0])[0] == 0.0
 
-    def test_identity(self):
-        x = np.array([1.0, -1.0])
-        assert np.allclose(stable_activation("identity")(x), x)
-
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             stable_activation("softmax")
@@ -287,7 +299,7 @@ class TestActivations:
     def test_stability_conditions_sampled(self):
         # increasing, 1-Lipschitz, fixing 0, coordinatewise
         grid = np.linspace(-4, 4, 201)
-        for name in ("relu", "tanh", "identity"):
+        for name in ("relu", "tanh"):
             s = stable_activation(name)
             vals = s(grid[:, None])[:, 0]
             diffs = np.diff(vals)
@@ -540,7 +552,7 @@ class TestMetadataIsDerived:
         "build",
         [
             lambda kw: Scale(2.0, **kw),
-            lambda kw: Truncate(1, SP2, **kw),
+            lambda kw: Truncate(1, SP2, 3, **kw),
             lambda kw: SwapIsometry(0, 1, **kw),
             lambda kw: Activation("relu", **kw),
             lambda kw: Affine(np.eye(2), np.zeros(2), p=2.0, **kw),
@@ -592,7 +604,7 @@ def operator_documents(draw):
         ),
         st.builds(
             lambda name: {"kind": "activation", "name": name},
-            st.sampled_from(["relu", "tanh", "identity"]),
+            st.sampled_from(["relu", "tanh"]),
         ),
     )
 
@@ -658,6 +670,20 @@ def test_json_round_trip_property(case):
         )
 
 
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(operator_documents())
+@example(EVERY_OPERATOR_KIND)
+def test_identity_insertion_keeps_compose_meta(case):
+    # a tree that is not a composition counts as its one operand
+    p, d, doc = case
+    sp = space_params(p)
+    T = operator_from_json(doc, sp, d)
+    ops = T.ops if isinstance(T, Compose) else (T,)
+    meta = Compose(ops, sp).meta
+    for i in range(len(ops) + 1):
+        assert_same_meta(Compose(ops[:i] + (identity(),) + ops[i:], sp).meta, meta)
+
+
 class TestJsonRoundTrip:
     def cases(self):
         yield averaged(SwapIsometry(0, 1), 0.5)
@@ -689,14 +715,6 @@ class TestJsonRoundTrip:
         R2 = operator_from_json(doc, SP2, 2)
         x = np.array([3.0, 0.0])
         assert np.allclose(R(x), R2(x), atol=1e-11)
-
-    def test_contractive_projection_kind_reads_as_averaged(self):
-        doc = {"kind": "contractive_projection", "isometry": {"kind": "swap", "i": 0, "j": 1}}
-        T = operator_from_json(doc, SP3, 3)
-        assert isinstance(T, Averaged) and T.alpha == 0.5
-        assert operator_to_json(T) == {
-            "kind": "averaged", "alpha": 0.5, "inner": {"kind": "swap", "i": 0, "j": 1}
-        }
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from firmlp import cli
+from firmlp import cli, operators
 from firmlp.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -62,3 +62,18 @@ def test_key_table_lists_the_declared_keys():
         declared[command] = (set(required), set(keys) - set(required))
         nested(keys)
     assert readme_key_table() == declared
+
+
+def readme_kind_table():
+    """Operator kind -> its keys cell, as the README's operator kind table
+    lists them."""
+    header = "| kind | keys |\n|---|---|\n"
+    rows = README.split(header)[1].split("\n\n")[0].splitlines()
+    return {re.findall(r"`(\w+)`", kind)[0]: keys
+            for kind, keys in (row.strip("|").split("|", 1) for row in rows)}
+
+
+def test_kind_table_lists_the_operator_kinds():
+    table = readme_kind_table()
+    assert set(table) == set(operators._KINDS)
+    assert set(re.findall(r"`(\w+)`", table["activation"])) == {"name"} | set(operators._ACTIVATIONS)
