@@ -345,7 +345,7 @@ def semigroup_limit_estimate(
         rate = 1.0 - F.factor
         est.closed_form_errors = lp_norm(values - np.exp(-rate * t) * x, sp.p)
         n_big = schedule[-1]
-        t_small = min(t, 1e-3) if t > 0 else 1e-3
+        t_small = min(t, 1e-3)  # at t = 0 every product is Id exactly
         near_id = semigroup_product(F, t_small, n_big, sp)(x)
         half = semigroup_product(F, t / 2.0, n_big, sp) if t > 0 else None
         axioms = {

@@ -7,6 +7,12 @@ strictly positive convex combination of the P_i drives the iterates into
 the intersection of the image subspaces, with every distance to that
 intersection nonincreasing along the way.
 
+Each U is checked exactly, on its affine form U x = W x + b.  By
+Mazur-Ulam every surjective isometry (an involution is one) is affine, and
+by Banach and Lamperti the linear isometries of lp^d, p != 2, are exactly
+the signed permutation matrices (at p = 2, the orthogonal ones).  So U is
+an isometric involution when W is such a matrix, W^2 = I and W b + b = 0.
+
 The built-in instance uses coordinate-swap isometries, whose images are
 equal-coordinate subspaces; their intersections are computed structurally,
 so membership of a limit point is checked exactly rather than by probing.
@@ -21,9 +27,7 @@ import numpy as np
 from .dynamics import MonitorConfig, StopRule, Trajectory, picard_iterate
 from .operators import (
     Averaged,
-    Compose,
     OperatorExpr,
-    Scale,
     compose,
     convex_combination,
     operator_from_json,
@@ -35,7 +39,7 @@ from .projections import (
     sample_points,
     set_from_json,
 )
-from .space import NonFiniteError, SpaceParams, lp_norm, space_params
+from .space import SpaceParams, lp_norm
 
 __all__ = [
     "ContractiveProjectionSpec",
@@ -53,11 +57,11 @@ __all__ = [
 
 MEMBERSHIP_TOL = 1e-8  # limit residual to an image, relative to max(max|x_0|, max|limit|)
 FIX_TOL = 1e-10  # relative displacement of a sampled intersection point
-ISOMETRY_SAMPLES = 64  # points projection_from_isometry checks U on
+ISOMETRY_TOL = 1e-12  # each exact isometry test, relative to 1 (the entries of I)
 
 
 class IsometryCheckError(ValueError):
-    """The candidate operator failed an involution/isometry sample check."""
+    """The candidate operator is not an isometric involution."""
 
 
 class EmptyIntersectionError(ValueError):
@@ -72,12 +76,10 @@ class FeasibilityError(RuntimeError):
 
 @dataclass
 class ContractiveProjectionSpec:
-    """An isometric involution U with P = (Id + U)/2, Id - P, and the image
-    subspace descriptor (= Fix U) when known."""
+    """P = (Id + U)/2 for an isometric involution U, and the image subspace
+    descriptor (= Fix U) when known."""
 
-    isometry: OperatorExpr
     projection: OperatorExpr
-    complement: OperatorExpr
     image: object | None
 
 
@@ -89,38 +91,30 @@ def projection_from_isometry(
 ) -> ContractiveProjectionSpec:
     """Build the contractive projection of an isometric involution.
 
-    U is checked on ``ISOMETRY_SAMPLES`` points: U^2 = Id and norm
-    preservation to 1e-12 and idempotence of P to 1e-10, each relative to
-    the sample's norm.  Failures raise with a witness.
+    U is checked exactly on its affine form (W, b), as the module docstring
+    says, each test within ``ISOMETRY_TOL`` (relative to max|b| for the
+    offset); a failure raises ``IsometryCheckError`` naming it.  ``seed``
+    is accepted and unread.
     """
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-10.0, 10.0, size=(ISOMETRY_SAMPLES, dim))
-    norm_x = lp_norm(x, p)
-    ux = U(x)
-    P = Averaged(U, 0.5)
-    px = P(x)
-    checks = (
-        ("U^2 != Id", lambda: lp_norm(U(ux) - x, p), 1e-12),
-        ("U does not preserve the lp norm", lambda: np.abs(lp_norm(ux, p) - norm_x), 1e-12),
-        ("(Id+U)/2 is not idempotent", lambda: lp_norm(P(px) - px, p), 1e-10),
-    )
-    for failure, error, bound in checks:
-        try:
-            err = error()
-        except NonFiniteError:  # an isometry keeps every finite vector finite
-            raise IsometryCheckError(f"{failure} (the check overflowed)") from None
-        i = int(np.argmax(err - bound * norm_x))
-        if err[i] > bound * norm_x[i]:
-            raise IsometryCheckError(
-                f"{failure} (error {err[i]:.3e} at sample {x[i]} of norm {norm_x[i]:.3e})"
-            )
-    complement = Averaged(Compose((Scale(-1.0), U), space_params(p)), 0.5)
-    return ContractiveProjectionSpec(
-        isometry=U,
-        projection=P,
-        complement=complement,
-        image=U.meta.fixed_points,
-    )
+    U.check_dim(dim)
+    form = U.affine_form(dim)
+    if form is None:
+        raise IsometryCheckError("U is not affine, so it is no isometry (Mazur-Ulam)")
+    W, b = form
+    eye = np.eye(dim)
+    # the signed permutations are the orthogonal matrices with integer
+    # entries; |W| <= 1 holds for each orthogonal W and keeps W^T W finite
+    isometric = (np.abs(W).max() <= 1.0 + ISOMETRY_TOL
+                 and np.abs(W.T @ W - eye).max() <= ISOMETRY_TOL
+                 and (p == 2.0 or np.abs(W - np.round(W)).max() <= ISOMETRY_TOL))
+    if not isometric:
+        kind = "orthogonal" if p == 2.0 else "a signed permutation"
+        raise IsometryCheckError(f"W is not {kind}, so U is no l{p:g} isometry")
+    if not np.abs(W @ W - eye).max() <= ISOMETRY_TOL:
+        raise IsometryCheckError("W^2 != I, so U^2 != Id")
+    if not np.abs(W @ b + b).max() <= ISOMETRY_TOL * np.abs(b).max():
+        raise IsometryCheckError("W b + b != 0, so U^2 != Id")
+    return ContractiveProjectionSpec(projection=Averaged(U, 0.5), image=U.meta.fixed_points)
 
 
 def intersect_images(specs) -> object:
@@ -282,7 +276,7 @@ def load_instance_json(doc: dict, sp: SpaceParams, dim: int) -> list[Contractive
         iso_doc = dict(iso_doc)
         image_doc = iso_doc.pop("image", None)
         U = operator_from_json(iso_doc, sp, dim)
-        spec = projection_from_isometry(U, sp.p, dim, seed=k)
+        spec = projection_from_isometry(U, sp.p, dim)
         if image_doc is not None:
             spec.image = set_from_json(image_doc)
         specs.append(spec)

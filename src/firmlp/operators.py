@@ -15,11 +15,12 @@ combinators implement the propagation rules
 
 * averaging:    (1-a)Id + aR with R nonexpansive is a-averaged and a-firm;
 * composition:  firm route (1 + (1 - a_max)/(n^(r-1) a_max))^(-1),
-                averaged route 1 - prod(1 - a_i), over the n operands
-                other than identities (the identity is neutral);
+                averaged route 1 - prod(1 - a_i);
 * convex sums:  firm route max(a_i), averaged route sum(w_i a_i);
 
-keeping the smaller (stronger) firm constant whenever both routes apply.
+over the n operands other than identities and, in sums, operands of
+weight 0 (each adds nothing), keeping the smaller (stronger) firm
+constant whenever both routes apply.
 Every node whose constants depend on the space takes it, with no default:
 ``Compose`` (its firm route needs the power type r), ``Truncate``
 (c_r/(c_r + 2)), ``Affine`` and ``Resolvent`` (p).
@@ -193,16 +194,19 @@ class OperatorExpr:
         size or where it sits in the tree."""
         return self._apply(np.eye(d), linear=True).T, self._apply(np.zeros(d))
 
-    def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            raise DimensionMismatch("operators act on vectors, got a scalar")
-        d = x.shape[-1]
+    def check_dim(self, d: int) -> None:
+        """Raise DimensionMismatch unless the node acts on dimension d."""
         lo, exact = self.dims
         if exact is not None and d != exact:
             raise DimensionMismatch(f"{type(self).__name__} requires dim {exact}, got {d}")
         if d < lo:
             raise DimensionMismatch(f"{type(self).__name__} requires dim >= {lo}, got {d}")
+
+    def apply(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            raise DimensionMismatch("operators act on vectors, got a scalar")
+        self.check_dim(x.shape[-1])
         return self._eval(x)
 
     __call__ = apply
@@ -419,8 +423,8 @@ def averaged(R: OperatorExpr, alpha: float) -> Averaged:
 def contractive_projection(U: OperatorExpr) -> Averaged:
     """(Id + U)/2 for an isometric involution U, i.e. Averaged(U, 1/2).
 
-    This trusts the caller about U; the feasibility module provides a
-    sample-checked builder.
+    This trusts the caller about U; the feasibility module provides an
+    exactly checked builder.
     """
     return Averaged(U, 0.5)
 
@@ -441,18 +445,29 @@ def _merged_dims(ops) -> tuple[int, int | None]:
     return lo, exact
 
 
-def _combined_meta(ops, firm, avg, fixed_sets) -> OperatorMeta:
-    """Metadata of a combination of ``ops`` whose firm and averaged routes
-    gave ``firm`` and ``avg`` (None where a route does not apply).
+def _combined_meta(ops, weights, firm_route, avg_route) -> OperatorMeta:
+    """Metadata of a combination of ``ops`` with ``weights``.
 
-    ``fixed_sets`` are intersected only when every operand carries a firm
-    constant and the intersection is structurally nonempty, as the
-    quasi-firm calculus needs.
+    Operands of weight 0 and identities (only Id, 0-averaged and a-firm
+    for every a, has the whole space as fixed set) drop out; when none
+    remain the node is the identity and takes its first weighted operand's
+    metadata.  ``firm_route(alphas)`` and ``avg_route(avgs, weights)``
+    apply when every remaining operand carries their constant; the fixed
+    sets intersect (if structurally nonempty) where the firm route does.
     """
+    kept = [(op, w) for op, w in zip(ops, weights) if w > 0.0]
+    factors = [(op, w) for op, w in kept if op.meta.fixed_points is not WHOLE_SPACE]
+    if not factors:
+        return kept[0][0].meta
+    ops, weights = zip(*factors)
+    alphas = [op.meta.alpha_firm for op in ops]
+    firm = firm_route(alphas) if None not in alphas else None
+    avgs = [op.meta.averaged for op in ops]
+    avg = avg_route(avgs, weights) if None not in avgs else None
     candidates = [a for a in (firm, avg) if a is not None]
     fixed = None
-    if all(op.meta.alpha_firm is not None for op in ops):
-        fixed = merge_fixed_point_sets(fixed_sets)
+    if firm is not None:
+        fixed = merge_fixed_point_sets([op.meta.fixed_points for op in ops])
         if fixed is EMPTY_INTERSECTION:
             fixed = None
     return OperatorMeta(
@@ -467,11 +482,9 @@ def _combined_meta(ops, firm, avg, fixed_sets) -> OperatorMeta:
 class Compose(OperatorExpr):
     """ops[0] applied last: Compose([A, B])(x) = A(B(x)).
 
-    Metadata comes from the operands other than identities (only Id has
-    the whole space as fixed set), or is the identity's when all are.  The
-    firm route needs each to carry a firm constant, and its constant
-    depends on r of the space ``sp``; the averaged route needs each to
-    carry an averaging constant.  The smaller firm constant is kept.
+    Metadata comes from the n operands other than identities
+    (``_combined_meta``).  Firm route (1 + (1 - a_max)/(n^(r-1) a_max))^(-1),
+    with r of the space ``sp``; averaged route 1 - prod(1 - a_i).
     """
 
     kind = "compose"
@@ -485,20 +498,14 @@ class Compose(OperatorExpr):
         self.ops = ops
         self.dims = _merged_dims(ops)
         self.affine = self.compiled = all(op.affine for op in ops)
-        factors = [op for op in ops if op.meta.fixed_points is not WHOLE_SPACE]
-        if not factors:
-            self.meta = ops[0].meta
-            return
-        alphas = [op.meta.alpha_firm for op in factors]
-        firm = None
-        if all(a is not None for a in alphas):
+
+        def firm(alphas):
             a_max = max(alphas)
-            firm = 1.0 / (1.0 + (1.0 - a_max) / (len(factors) ** (self.sp.r - 1.0) * a_max))
-        avgs = [op.meta.averaged for op in factors]
-        avg = None
-        if all(a is not None for a in avgs):
-            avg = 1.0 - math.prod(1.0 - a for a in avgs)
-        self.meta = _combined_meta(factors, firm, avg, [op.meta.fixed_points for op in factors])
+            return 1.0 / (1.0 + (1.0 - a_max) / (len(alphas) ** (self.sp.r - 1.0) * a_max))
+
+        self.meta = _combined_meta(
+            ops, (1.0,) * len(ops), firm, lambda avgs, _: 1.0 - math.prod(1.0 - a for a in avgs)
+        )
 
     def _apply(self, x, linear=False):
         for op in reversed(self.ops):
@@ -522,9 +529,10 @@ class Compose(OperatorExpr):
 class ConvexCombo(OperatorExpr):
     """sum_i weights[i] * ops[i](x).
 
-    Constants are r-independent.  Firm route: max of the operand constants.
-    Averaged route: the weighted sum of averaging constants.  Fixed-point
-    sets intersect over operands with positive weight.
+    Metadata comes from the operands of positive weight other than
+    identities (``_combined_meta``), with r-independent constants.  Firm
+    route: max of their constants.  Averaged route: sum of w_i a_i, as
+    w Id + sum w_i ((1 - a_i) Id + a_i R_i) shows.
     """
 
     kind = "convex_combo"
@@ -542,14 +550,9 @@ class ConvexCombo(OperatorExpr):
         self.weights = tuple(float(v) for v in w)
         self.dims = _merged_dims(ops)
         self.affine = self.compiled = all(op.affine for op in ops)
-        alphas = [op.meta.alpha_firm for op in ops]
-        firm = max(alphas) if all(a is not None for a in alphas) else None
-        avgs = [op.meta.averaged for op in ops]
-        avg = None
-        if all(a is not None for a in avgs):
-            avg = float(sum(w * a for w, a in zip(self.weights, avgs)))
-        active = [op.meta.fixed_points for op, w in zip(ops, self.weights) if w > 0.0]
-        self.meta = _combined_meta(ops, firm, avg, active)
+        self.meta = _combined_meta(
+            ops, self.weights, max, lambda avgs, w: float(sum(wi * a for wi, a in zip(w, avgs)))
+        )
 
     def _apply(self, x, linear=False):
         out = self.weights[0] * self.ops[0]._eval(x, linear)

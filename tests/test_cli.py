@@ -540,6 +540,17 @@ class TestSemigroupCommand:
         assert main(["semigroup", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "semigroup t must be finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:resolvent of an operator without:UserWarning")
+    def test_t_zero_expansive_scale_exit0(self, tmp_path):
+        # at t = 0 every product, the near-identity one included, is Id exactly
+        cfg = self.config(tmp_path, schedule=(8,), t=0.0,
+                          operator={"kind": "scale", "factor": 1e10})
+        assert main(["semigroup", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "semigroup.csv").exists()
+        summary = json.loads((tmp_path / "semigroup.json").read_text())
+        axioms = summary["axiom_checks"]
+        assert axioms["identity_at_zero"] == 0.0 == axioms["identity_at_zero_bound"]
+
     def test_numeric_failure_writes_files_exit3(self, tmp_path, capsys):
         # t/n = 1.25e16 at n = 8: lam/(1+lam) rounds to 1 in the first product
         cfg = self.config(tmp_path, schedule=(8, 16), t=1e17, p=3.0,
@@ -586,10 +597,39 @@ class TestFeasibilityCommand:
         assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 2
 
     def test_bad_isometry_exit2(self, tmp_path):
+        for isometry in (
+            {"kind": "scale", "factor": 0.5},
+            {"kind": "activation", "name": "tanh"},  # not affine
+            {"kind": "affine", "W": [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                                     [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]},  # a 3-cycle
+            {"kind": "affine", "W": np.diag([1e300, 1.0, 1.0, 1.0]).tolist()},
+        ):
+            doc = feasibility_config()
+            doc["isometries"][0] = isometry
+            cfg = write_config(tmp_path, "f.json", doc)
+            assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_signed_permutation_with_declared_image(self, tmp_path):
+        # x -> (x_1, x_0, x_2, 2 - x_3) fixes {x_0 = x_1, x_3 = 1}
         doc = feasibility_config()
-        doc["isometries"][0] = {"kind": "scale", "factor": 0.5}
+        doc["isometries"][0] = {
+            "kind": "affine",
+            "W": [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0]],
+            "b": [0.0, 0.0, 0.0, 2.0],
+            "image": {"kind": "affine_equal", "groups": [[0, 1]], "fixed": [[3, 1.0]]},
+        }
         cfg = write_config(tmp_path, "f.json", doc)
-        assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "feasibility.json").read_text())
+        assert np.allclose(summary["limit"], [1 / 3, 1 / 3, 1 / 3, 1.0], atol=1e-8)
+
+    def test_isometry_wider_than_dim_exit1(self, tmp_path, capsys):
+        doc = feasibility_config()
+        doc["isometries"][0] = {"kind": "swap", "i": 0, "j": 5}
+        cfg = write_config(tmp_path, "f.json", doc)
+        assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "requires dim >= 6, got 4" in capsys.readouterr().err
 
     def test_nonconvergence_writes_summary_exit3(self, tmp_path):
         cfg = write_config(tmp_path, "f.json", feasibility_config(stop={"max_iter": 3}))

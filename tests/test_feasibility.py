@@ -14,11 +14,14 @@ from firmlp.feasibility import (
     load_instance_json,
     projection_from_isometry,
 )
-from firmlp.operators import Affine, Scale, SwapIsometry
+from firmlp.operators import Activation, Affine, Scale, SwapIsometry
 from firmlp.projections import AffineEqual, membership_residual
 from firmlp.space import lp_norm, space_params
 
 SP3 = space_params(3.0)
+SWAP_01 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+HOUSEHOLDER_AXIS = np.array([1.0, 2.0, -2.0])
+HOUSEHOLDER = np.eye(3) - 2.0 * np.outer(HOUSEHOLDER_AXIS, HOUSEHOLDER_AXIS) / 9.0
 
 
 def uv_instance(p=3.0, dim=4):
@@ -34,7 +37,6 @@ class TestProjectionFromIsometry:
         assert np.allclose(spec.projection(x), [2.0, 2.0, 7.0, -2.0])
         assert spec.image == AffineEqual(groups=((0, 1),))
         assert spec.projection.meta.alpha_firm == 0.5
-        assert spec.complement.meta.alpha_firm == 0.5
 
     def test_identity_isometry(self):
         spec = projection_from_isometry(Scale(1.0), 2.0, 3)
@@ -56,25 +58,41 @@ class TestProjectionFromIsometry:
             projection_from_isometry(cycle, 3.0, 3)
 
     def test_rejects_non_isometry(self):
-        with pytest.raises(IsometryCheckError):
-            projection_from_isometry(Scale(0.5), 2.0, 3)
+        for U, p, message in (
+            (Scale(0.5), 2.0, "orthogonal"),
+            (Scale(0.5), 3.0, "signed permutation"),
+            (Activation("tanh"), 3.0, "not affine"),
+            # an isometry of l2 only: at p != 2 the isometries are signed permutations
+            (Affine(HOUSEHOLDER, np.zeros(3), p=3.0), 3.0, "signed permutation"),
+            (Affine(SWAP_01 * (1.0 + 1e-9), np.zeros(3), p=3.0), 3.0, "signed permutation"),
+            # an involution W^2 = I whose offset U(U 0) = W b + b is not 0
+            (Affine(SWAP_01, np.array([1.0, 0.0, 0.0]), p=3.0), 3.0, "W b \\+ b"),
+        ):
+            with pytest.raises(IsometryCheckError, match=message):
+                projection_from_isometry(U, p, 3)
+
+    def test_householder_reflection_at_p2(self):
+        spec = projection_from_isometry(Affine(HOUSEHOLDER, np.zeros(3), p=2.0), 2.0, 3)
+        x = np.array([3.0, -1.0, 2.0])
+        v = HOUSEHOLDER_AXIS
+        assert np.allclose(spec.projection(x), x - v * (v @ x) / (v @ v), atol=1e-14)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_rejects_overflowing_candidate(self):
         # U(U x) overflows to Inf, which no isometry does to a finite x
         U = Affine(np.diag([1e300, 1.0]), np.zeros(2), p=3.0)
-        with pytest.raises(IsometryCheckError, match="overflowed"):
+        with pytest.raises(IsometryCheckError, match="signed permutation"):
             projection_from_isometry(U, 3.0, 2)
 
     def test_projection_certifies(self):
         spec = projection_from_isometry(SwapIsometry(0, 1), 3.0, 4)
-        for T in (spec.projection, spec.complement):
-            rep = certify_nonexpansive(T, 3.0, Sampler(seed=1, dim=4), n=2_000)
-            assert rep.passed
-            rep2 = certify_alpha_firm(
-                T, 0.5, SP3, (Sampler(seed=2, dim=4), Sampler(seed=3, dim=4)), n=2_000
-            )
-            assert rep2.passed
+        T = spec.projection
+        rep = certify_nonexpansive(T, 3.0, Sampler(seed=1, dim=4), n=2_000)
+        assert rep.passed
+        rep2 = certify_alpha_firm(
+            T, 0.5, SP3, (Sampler(seed=2, dim=4), Sampler(seed=3, dim=4)), n=2_000
+        )
+        assert rep2.passed
 
 
 class TestAlternating:

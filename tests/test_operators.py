@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from firmlp.certify import Sampler, certify_alpha_firm
@@ -34,7 +34,7 @@ from firmlp.operators import (
     stable_activation,
     truncation_operator,
 )
-from firmlp.projections import AffineEqual, Ball, Box, Halfspace, set_to_json
+from firmlp.projections import WHOLE_SPACE, AffineEqual, Ball, Box, Halfspace, set_to_json
 from firmlp.space import lp_norm, space_params
 
 SP2 = space_params(2.0)
@@ -236,6 +236,22 @@ class TestConvexCombination:
         T = ConvexCombo(tuple(ops), (0.25, 0.75))
         assert T.meta.alpha_firm == pytest.approx(0.3, rel=1e-15)
         assert_same_meta(T.meta, convex_combination(ops, [0.25, 0.75]).meta)
+
+    def test_identity_drops_out(self):
+        # Id is 0-averaged: 0.5 * 0 + 0.5 * 0.5 = 0.25
+        P = Averaged(SwapIsometry(0, 1), 0.5)
+        T = ConvexCombo((identity(), P), (0.5, 0.5))
+        assert (T.meta.alpha_firm, T.meta.averaged) == (0.25, 0.25)
+        assert T.meta.fixed_points == AffineEqual(groups=((0, 1),))
+        rep = certify_alpha_firm(
+            T, 0.25, SP3, (Sampler(seed=25, dim=3), Sampler(seed=26, dim=3)), n=10_000
+        )
+        assert rep.passed
+
+    def test_zero_weight_drops_out(self):
+        P = Averaged(SwapIsometry(0, 1), 0.5)
+        assert_same_meta(ConvexCombo((identity(), P), (1.0, 0.0)).meta, identity().meta)
+        assert_same_meta(ConvexCombo((P, Scale(2.0)), (1.0, 0.0)).meta, P.meta)
 
     def test_weight_validation(self):
         ops = [Scale(0.5), Scale(0.25)]
@@ -682,6 +698,23 @@ def test_identity_insertion_keeps_compose_meta(case):
     meta = Compose(ops, sp).meta
     for i in range(len(ops) + 1):
         assert_same_meta(Compose(ops[:i] + (identity(),) + ops[i:], sp).meta, meta)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(operator_documents(), st.sampled_from([0.25, 0.5]))
+@example(EVERY_OPERATOR_KIND, 0.5)
+def test_identity_in_convex_combination(case, w):
+    # w Id + (1 - w) T: Id is 0-averaged and alpha-firm for every alpha
+    p, d, doc = case
+    T = operator_from_json(doc, space_params(p), d)
+    assume(T.meta.alpha_firm is not None)
+    meta = ConvexCombo((identity(), T), (w, 1.0 - w)).meta
+    if T.meta.fixed_points is WHOLE_SPACE:  # T is Id, and so is the combination
+        assert_same_meta(meta, identity().meta)
+        return
+    assert fixed_set_doc(meta) == fixed_set_doc(T.meta)
+    assert meta.alpha_firm <= T.meta.alpha_firm
+    assert meta.averaged == (None if T.meta.averaged is None else (1.0 - w) * T.meta.averaged)
 
 
 class TestJsonRoundTrip:
