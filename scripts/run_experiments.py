@@ -27,6 +27,7 @@ COMMANDS = {
     "iterate_swaps.json": "iterate",
     "feasibility_swaps.json": "feasibility",
     "feasibility_swaps_averaged.json": "feasibility",
+    "feasibility_matrices.json": "feasibility",
 }
 
 

@@ -13,9 +13,11 @@ by Banach and Lamperti the linear isometries of lp^d, p != 2, are exactly
 the signed permutation matrices (at p = 2, the orthogonal ones).  So U is
 an isometric involution when W is such a matrix, W^2 = I and W b + b = 0.
 
-The built-in instance uses coordinate-swap isometries, whose images are
-equal-coordinate subspaces; their intersections are computed structurally,
-so membership of a limit point is checked exactly rather than by probing.
+The image Fix U = {P x + c}, P = (I + W)/2 and c = b/2, is read off the
+same form: an equal-coordinate set when each row of P averages its own
+support (a zero row pins x_i at c_i) and c vanishes off the pins; no set
+kind describes any other (x_i = -x_j, say).  The images are intersected
+structurally, so a limit's membership is checked exactly, not by probing.
 """
 
 from __future__ import annotations
@@ -34,10 +36,11 @@ from .operators import (
 )
 from .projections import (
     EMPTY_INTERSECTION,
+    AffineEqual,
     membership_residual,
     merge_fixed_point_sets,
+    project,
     sample_points,
-    set_from_json,
 )
 from .space import SpaceParams, lp_norm
 
@@ -76,8 +79,8 @@ class FeasibilityError(RuntimeError):
 
 @dataclass
 class ContractiveProjectionSpec:
-    """P = (Id + U)/2 for an isometric involution U, and the image subspace
-    descriptor (= Fix U) when known."""
+    """P = (Id + U)/2 for an isometric involution U, and its image Fix U as
+    an ``AffineEqual``, or None when no set kind describes it."""
 
     projection: OperatorExpr
     image: object | None
@@ -93,8 +96,8 @@ def projection_from_isometry(
 
     U is checked exactly on its affine form (W, b), as the module docstring
     says, each test within ``ISOMETRY_TOL`` (relative to max|b| for the
-    offset); a failure raises ``IsometryCheckError`` naming it.  ``seed``
-    is accepted and unread.
+    offset); a failure raises ``IsometryCheckError`` naming it.  The image
+    is read off the same form.  ``seed`` is accepted and unread.
     """
     U.check_dim(dim)
     form = U.affine_form(dim)
@@ -114,29 +117,34 @@ def projection_from_isometry(
         raise IsometryCheckError("W^2 != I, so U^2 != Id")
     if not np.abs(W @ b + b).max() <= ISOMETRY_TOL * np.abs(b).max():
         raise IsometryCheckError("W b + b != 0, so U^2 != Id")
-    return ContractiveProjectionSpec(projection=Averaged(U, 0.5), image=U.meta.fixed_points)
+    return ContractiveProjectionSpec(projection=Averaged(U, 0.5), image=_image(W, b))
+
+
+def _image(W, b):
+    """Fix U as an ``AffineEqual``, or None (see the module docstring); as
+    P is symmetric and P^2 = P, a block's first row is its head."""
+    P = (np.eye(len(b)) + W) / 2.0
+    support = np.abs(P) > ISOMETRY_TOL
+    n = support.sum(axis=1)
+    if (np.abs(P - support / np.maximum(n, 1)[:, None]).max() > ISOMETRY_TOL
+            or np.abs(b[n > 0]).max(initial=0.0) > ISOMETRY_TOL * np.abs(b).max()):
+        return None
+    heads = np.flatnonzero((support.argmax(axis=1) == np.arange(len(b))) & (n > 1))
+    return AffineEqual(groups=[np.flatnonzero(support[h]) for h in heads],
+                       fixed=[(i, b[i] / 2.0) for i in np.flatnonzero(n == 0)])
 
 
 def intersect_images(specs) -> object:
     """Structural intersection of the image subspaces.
 
     Raises ``EmptyIntersectionError`` on a provable contradiction and
-    ``ValueError`` when some image has no descriptor (supply a witness
-    point in that case).
+    ``ValueError`` when no set kind describes an image or the intersection.
     """
-    images = [s.image for s in specs]
-    if any(im is None for im in images):
-        raise ValueError(
-            "an image subspace has no descriptor; declare one in the instance"
-        )
-    merged = merge_fixed_point_sets(images)
+    merged = merge_fixed_point_sets([s.image for s in specs])
     if merged is EMPTY_INTERSECTION:
         raise EmptyIntersectionError("image subspaces have provably empty intersection")
     if merged is None:
-        raise ValueError(
-            "cannot merge the declared image descriptors; use equal-coordinate "
-            "or box sets for the intersection probe"
-        )
+        raise ValueError("no set kind describes an image subspace or their intersection")
     return merged
 
 
@@ -153,8 +161,8 @@ def _run_scheme(
     rng = np.random.default_rng(seed)
     dim = np.asarray(x0).shape[-1]
     fejer = sample_points(intersection, rng, max(n_fejer, 1), dim, sp.p)
-    monitors = MonitorConfig(sp=sp, fejer_points=fejer, track_fix_projections=True)
-    traj = picard_iterate(T, x0, stop, monitors)
+    traj = picard_iterate(T, x0, stop, MonitorConfig(sp=sp, fejer_points=fejer))
+    traj.fix_projections = project(intersection, traj.iterates, sp)
     if not traj.converged:
         raise FeasibilityError(
             f"no convergence within {stop.max_iter} iterations", trajectory=traj
@@ -262,22 +270,9 @@ def fixed_set_equality_check(
     )
 
 
-def load_instance_json(doc: dict, sp: SpaceParams, dim: int) -> list[ContractiveProjectionSpec]:
-    """Build projection specs from a JSON instance: a list of isometries
-    given as swap index pairs or explicit matrices, each optionally with a
-    declared "image" convex-set document used by the intersection probe
-    (needed when the image cannot be derived from the isometry)."""
+def load_instance_json(doc: list, sp: SpaceParams, dim: int) -> list[ContractiveProjectionSpec]:
+    """Build projection specs from a JSON instance: a list of isometry
+    operator documents (swap index pairs, scalings or explicit matrices)."""
     if not doc:
         raise ValueError("'isometries' lists no isometry")
-    specs = []
-    for k, iso_doc in enumerate(doc):
-        if not isinstance(iso_doc, dict) or "kind" not in iso_doc:
-            raise ValueError(f"isometry {k}: expected an object with a 'kind' tag")
-        iso_doc = dict(iso_doc)
-        image_doc = iso_doc.pop("image", None)
-        U = operator_from_json(iso_doc, sp, dim)
-        spec = projection_from_isometry(U, sp.p, dim)
-        if image_doc is not None:
-            spec.image = set_from_json(image_doc)
-        specs.append(spec)
-    return specs
+    return [projection_from_isometry(operator_from_json(iso, sp, dim), sp.p, dim) for iso in doc]

@@ -69,6 +69,12 @@ def feasibility_config(**extra):
     return doc
 
 
+def swap_matrix(i, j, dim=4):
+    perm = list(range(dim))
+    perm[i], perm[j] = j, i
+    return np.eye(dim)[perm]
+
+
 class TestCertifyCommand:
     def test_truncation_passes(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", certify_config())
@@ -188,14 +194,6 @@ class TestConfigVectors:
         cfg = write_config(tmp_path, "v.json", doc)
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
         assert f"'{key}'" in capsys.readouterr().err
-
-    def test_non_finite_image_exit1(self, tmp_path, capsys):
-        # a single image is sampled as declared, so its NaN would reach the run
-        iso = {"kind": "swap", "i": 0, "j": 1,
-               "image": {"kind": "ball", "center": [float("nan"), 0.0, 0.0, 0.0], "radius": 1.0}}
-        cfg = write_config(tmp_path, "f.json", feasibility_config(isometries=[iso]))
-        assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 1
-        assert "finite center" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, doc, key, value", [
         ("resolvent", resolvent_config({"kind": "scale", "factor": -1.0}, [1.0], [3.0, 0.0]),
@@ -582,17 +580,13 @@ class TestFeasibilityCommand:
         assert np.allclose(summary["limit"], [1 / 3, 1 / 3, 1 / 3, 0.0], atol=1e-8)
 
     def test_contradictory_images_exit2(self, tmp_path):
+        # x -> (x_1, x_0, x_2, 2 - x_3) pins x_3 at 1, and the second swap
+        # with 4 - x_3 pins it at 2
         doc = feasibility_config()
-        doc["isometries"][0]["image"] = {
-            "kind": "affine_equal",
-            "groups": [[0, 1]],
-            "fixed": [[3, 1.0]],
-        }
-        doc["isometries"][1]["image"] = {
-            "kind": "affine_equal",
-            "groups": [[1, 2]],
-            "fixed": [[3, 2.0]],
-        }
+        for k, (i, j, offset) in enumerate([(0, 1, 2.0), (1, 2, 4.0)]):
+            W = swap_matrix(i, j)
+            W[3, 3] = -1.0
+            doc["isometries"][k] = {"kind": "affine", "W": W.tolist(), "b": [0.0, 0.0, 0.0, offset]}
         cfg = write_config(tmp_path, "f.json", doc)
         assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 2
 
@@ -617,7 +611,6 @@ class TestFeasibilityCommand:
             "W": [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
                   [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0]],
             "b": [0.0, 0.0, 0.0, 2.0],
-            "image": {"kind": "affine_equal", "groups": [[0, 1]], "fixed": [[3, 1.0]]},
         }
         cfg = write_config(tmp_path, "f.json", doc)
         assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -640,17 +633,40 @@ class TestFeasibilityCommand:
         assert summary["iterations"] == 3
 
 
-    @pytest.mark.parametrize("image, message", [
-        ({"kind": "box"}, "'lower'"),
-        ({"kind": "box", "lower": [float("nan"), -1.0], "upper": [1.0, 1.0]}, "lower <= upper"),
-        (5, "convex set kind"),
-    ])
-    def test_malformed_image_exit1(self, tmp_path, capsys, image, message):
-        doc = feasibility_config()
-        doc["isometries"][0]["image"] = image
+    def test_p2_reflection_image_is_derived(self, tmp_path):
+        # W = 2J/3 - I on x_0..x_2 fixes {x_0 = x_1 = x_2}, a set no swap spells
+        W = np.eye(4)
+        W[:3, :3] = 2.0 / 3.0 - np.eye(3)
+        doc = feasibility_config(p=2.0)
+        doc["isometries"] = [{"kind": "affine", "W": W.tolist()}, {"kind": "swap", "i": 2, "j": 3}]
         cfg = write_config(tmp_path, "f.json", doc)
-        assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 1
-        assert message in capsys.readouterr().err
+        assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "feasibility.json").read_text())
+        assert np.allclose(summary["limit"], [0.25] * 4, atol=1e-8)
+
+    def test_declared_image_key_exit1(self, tmp_path, capsys):
+        # an image is derived, never declared: this one, {x_0 = x_2}, is wrong
+        doc = feasibility_config(x0=[1.0, 0.0, 0.0, 5.0])
+        doc["isometries"][0]["image"] = {"kind": "affine_equal", "groups": [[0, 2]]}
+        cfg = write_config(tmp_path, "f.json", doc)
+        assert main(["feasibility", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "'image'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stop, code", [({}, 0), ({"max_iter": 3}, 3)])
+    def test_matrix_written_instance_matches_swaps(self, tmp_path, stop, code):
+        # the same two swaps as affine matrices: the same bytes, P_Fix columns included
+        swaps = feasibility_config(stop=stop)
+        matrices = dict(swaps, isometries=[
+            {"kind": "affine", "W": swap_matrix(i, j).tolist()} for i, j in [(0, 1), (1, 2)]])
+        outputs = []
+        for name, doc in (("swaps", swaps), ("matrices", matrices)):
+            cfg = write_config(tmp_path, f"{name}.json", doc)
+            assert main(["feasibility", "--config", cfg, "--out", str(tmp_path / name)]) == code
+            outputs.append([(tmp_path / name / f).read_bytes()
+                            for f in ("feasibility.csv", "feasibility.json")])
+        assert outputs[0] == outputs[1]
+        assert b"proj_x_1" in outputs[0][0].splitlines()[0]
 
 
 class TestLibraryDefaults:
@@ -744,25 +760,6 @@ class TestDocumentKeys:
     def test_undeclared_operator_key_exit1(self, tmp_path, capsys, operator, key):
         cfg = write_config(tmp_path, "i.json", self.iterate_config(operator))
         assert main(["iterate", "--config", cfg, "--out", str(tmp_path)]) == 1
-        assert f"'{key}'" in capsys.readouterr().err
-
-    def test_undeclared_image_key_exit1(self, tmp_path, capsys):
-        doc = feasibility_config()
-        doc["isometries"][0]["image"] = {"kind": "affine_equal", "groups": [[0, 1]], "pins": []}
-        cfg = write_config(tmp_path, "f.json", doc)
-        assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 1
-        assert "'pins'" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("image, key", [
-        ({"kind": "affine_equal", "groups": [[0, None]]}, "groups"),
-        ({"kind": "affine_equal", "fixed": [[0, None]]}, "fixed"),
-        ({"kind": "affine_equal", "fixed": [[None, 1.0]]}, "fixed"),
-    ])
-    def test_null_index_or_value_exit1(self, tmp_path, capsys, image, key):
-        doc = feasibility_config()
-        doc["isometries"][0]["image"] = image
-        cfg = write_config(tmp_path, "f.json", doc)
-        assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert f"'{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", [["x"], {"a": 1}, None, 3])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firmlp.certify import Sampler, certify_alpha_firm, certify_nonexpansive
 from firmlp.dynamics import StopRule
@@ -15,7 +17,7 @@ from firmlp.feasibility import (
     projection_from_isometry,
 )
 from firmlp.operators import Activation, Affine, Scale, SwapIsometry
-from firmlp.projections import AffineEqual, membership_residual
+from firmlp.projections import AffineEqual, membership_residual, sample_points
 from firmlp.space import lp_norm, space_params
 
 SP3 = space_params(3.0)
@@ -47,7 +49,7 @@ class TestProjectionFromIsometry:
         spec = projection_from_isometry(Scale(-1.0), 2.0, 3)
         x = np.array([1.0, 2.0, 3.0])
         assert np.allclose(spec.projection(x), np.zeros(3))
-        assert np.all(np.asarray(spec.image.lower) == 0.0)
+        assert spec.image == AffineEqual(fixed=((0, 0.0), (1, 0.0), (2, 0.0)))
 
     def test_rejects_non_involution(self):
         # a rotation-like permutation cycle of length 3 is an isometry but
@@ -76,6 +78,7 @@ class TestProjectionFromIsometry:
         x = np.array([3.0, -1.0, 2.0])
         v = HOUSEHOLDER_AXIS
         assert np.allclose(spec.projection(x), x - v * (v @ x) / (v @ v), atol=1e-14)
+        assert spec.image is None  # no set kind describes a hyperplane through 0
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_rejects_overflowing_candidate(self):
@@ -168,6 +171,75 @@ class TestAveraged:
         assert len(traj.iterates) == 1
 
 
+OFFSETS = st.sampled_from([0.0, 1.0, -2.5, 3e-7, 1e6])
+
+
+@st.composite
+def signed_involutions(draw):
+    """A signed-permutation involution (W, b) with an admissible offset,
+    W b = -b, and whether one of its 2-cycles is signed or offset."""
+    d = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(d)))
+    n_pairs = draw(st.integers(0, d // 2))
+    W, b, odd = np.zeros((d, d)), np.zeros(d), False
+    for i, j in zip(order[:n_pairs], order[n_pairs:2 * n_pairs]):
+        sign, t = draw(st.sampled_from([1.0, -1.0])), draw(OFFSETS)
+        W[i, j] = W[j, i] = sign
+        b[i], b[j] = -sign * t, t
+        odd |= sign < 0 or t != 0
+    for i in order[2 * n_pairs:]:
+        pinned = draw(st.booleans())
+        W[i, i], b[i] = (-1.0, draw(OFFSETS)) if pinned else (1.0, 0.0)
+    return W, b, odd
+
+
+@st.composite
+def block_reflections(draw):
+    """W = 2A - I for A the mean over each block of a random partition, and
+    the one-coordinate blocks either free or pinned at an offset."""
+    d = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(d)))
+    W, b, k = np.zeros((d, d)), np.zeros(d), 0
+    while k < d:
+        block = order[k:k + draw(st.integers(1, d - k))]
+        k += len(block)
+        if len(block) == 1 and draw(st.booleans()):
+            W[block[0], block[0]], b[block[0]] = -1.0, draw(OFFSETS)
+        else:
+            W[np.ix_(block, block)] = 2.0 / len(block) - np.eye(len(block))
+    return W, b
+
+
+class TestDerivedImage:
+    """Each image is read off U's affine form: a set of points U fixes, of
+    dimension dim - rank(I - W), or None exactly when no set kind
+    describes Fix U (a signed or offset 2-cycle)."""
+
+    @staticmethod
+    def assert_is_fix_u(W, b, image, p):
+        U, d = Affine(W, b, p=p), len(b)
+        x = sample_points(image, np.random.default_rng(0), 20, d, p)
+        assert np.all(np.abs(U(x) - x).max(axis=1) <= 1e-12 * np.abs(x).max(axis=1))
+        free = d - sum(len(g) - 1 for g in image.groups) - len(image.fixed)
+        assert free == d - np.linalg.matrix_rank(np.eye(d) - W)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(signed_involutions())
+    def test_signed_permutations_p3(self, case):
+        W, b, odd = case
+        image = projection_from_isometry(Affine(W, b, p=3.0), 3.0, len(b)).image
+        assert (image is None) == odd
+        if image is not None:
+            self.assert_is_fix_u(W, b, image, 3.0)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(block_reflections())
+    def test_block_reflections_p2(self, case):
+        W, b = case
+        image = projection_from_isometry(Affine(W, b, p=2.0), 2.0, len(b)).image
+        self.assert_is_fix_u(W, b, image, 2.0)
+
+
 class TestIntersections:
     def test_merged_descriptor(self):
         U, V = uv_instance()
@@ -225,7 +297,6 @@ class TestInstanceLoading:
                 "kind": "affine",
                 "W": W,
                 "b": [0.0, 0.0, 0.0],
-                "image": {"kind": "affine_equal", "groups": [[0, 1]], "fixed": []},
             }
         ]
         specs = load_instance_json(doc, SP3, 3)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -431,6 +433,26 @@ class TestStrictJsonValues:
     ])
     def test_rejected_naming_key(self, doc, key):
         with pytest.raises(ValueError, match=f"'{key}'"):
+            set_from_json(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        pytest.param({"kind": "ball", "center": [float("nan"), 0.0], "radius": 1.0},
+                     "finite center", id="non_finite_center"),
+        pytest.param({"kind": "box"}, "'lower'", id="box_missing_lower"),
+        pytest.param({"kind": "box", "lower": [float("nan"), -1.0], "upper": [1.0, 1.0]},
+                     "lower <= upper", id="box_nan_lower"),
+        pytest.param(5, "convex set kind", id="not_an_object"),
+        pytest.param({"kind": "affine_equal", "groups": [[0, 1]], "pins": []}, "'pins'",
+                     id="undeclared_key"),
+        pytest.param({"kind": "affine_equal", "groups": [[0, None]]}, "'groups'",
+                     id="null_group_index"),
+        pytest.param({"kind": "affine_equal", "fixed": [[0, None]]}, "'fixed'",
+                     id="null_pin_value"),
+        pytest.param({"kind": "affine_equal", "fixed": [[None, 1.0]]}, "'fixed'",
+                     id="null_pin_index"),
+    ])
+    def test_rejected_with_message(self, doc, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             set_from_json(doc)
 
     def test_readers(self):
