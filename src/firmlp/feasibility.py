@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MonitorConfig, StopRule, Trajectory, picard_iterate
+from .dynamics import MonitorConfig, StopRule, Trajectory, _picard_limits, picard_iterate
 from .operators import (
     Averaged,
     OperatorExpr,
@@ -61,6 +61,7 @@ __all__ = [
 MEMBERSHIP_TOL = 1e-8  # limit residual to an image, relative to max(max|x_0|, max|limit|)
 FIX_TOL = 1e-10  # relative displacement of a sampled intersection point
 ISOMETRY_TOL = 1e-12  # each exact isometry test, relative to 1 (the entries of I)
+LIMIT_STOP = StopRule(step_tol=1e-12)  # the multi-start runs of fixed_set_equality_check
 
 
 class IsometryCheckError(ValueError):
@@ -105,6 +106,7 @@ def projection_from_isometry(
         raise IsometryCheckError("U is not affine, so it is no isometry (Mazur-Ulam)")
     W, b = form
     eye = np.eye(dim)
+    b_max = np.abs(b).max()
     # the signed permutations are the orthogonal matrices with integer
     # entries; |W| <= 1 holds for each orthogonal W and keeps W^T W finite
     isometric = (np.abs(W).max() <= 1.0 + ISOMETRY_TOL
@@ -115,23 +117,28 @@ def projection_from_isometry(
         raise IsometryCheckError(f"W is not {kind}, so U is no l{p:g} isometry")
     if not np.abs(W @ W - eye).max() <= ISOMETRY_TOL:
         raise IsometryCheckError("W^2 != I, so U^2 != Id")
-    if not np.abs(W @ b + b).max() <= ISOMETRY_TOL * np.abs(b).max():
+    if not np.abs(W @ b + b).max() <= ISOMETRY_TOL * b_max:
         raise IsometryCheckError("W b + b != 0, so U^2 != Id")
-    return ContractiveProjectionSpec(projection=Averaged(U, 0.5), image=_image(W, b))
+    return ContractiveProjectionSpec(projection=Averaged(U, 0.5),
+                                     image=_image((eye + W) / 2.0, b, b_max))
 
 
-def _image(W, b):
-    """Fix U as an ``AffineEqual``, or None (see the module docstring); as
-    P is symmetric and P^2 = P, a block's first row is its head."""
-    P = (np.eye(len(b)) + W) / 2.0
+def _image(P, b, b_max):
+    """Fix U = {P x + b/2} as an ``AffineEqual``, or None (see the module
+    docstring); as P is symmetric and P^2 = P, a block's first row is its
+    head."""
     support = np.abs(P) > ISOMETRY_TOL
     n = support.sum(axis=1)
     if (np.abs(P - support / np.maximum(n, 1)[:, None]).max() > ISOMETRY_TOL
-            or np.abs(b[n > 0]).max(initial=0.0) > ISOMETRY_TOL * np.abs(b).max()):
+            or np.abs(b[n > 0]).max(initial=0.0) > ISOMETRY_TOL * b_max):
         return None
-    heads = np.flatnonzero((support.argmax(axis=1) == np.arange(len(b))) & (n > 1))
-    return AffineEqual(groups=[np.flatnonzero(support[h]) for h in heads],
-                       fixed=[(i, b[i] / 2.0) for i in np.flatnonzero(n == 0)])
+    groups, fixed = [], []
+    for i, row in enumerate(support.tolist()):
+        if True not in row:
+            fixed.append((i, b[i] / 2.0))
+        elif row.index(True) == i and n[i] > 1:
+            groups.append([j for j, s in enumerate(row) if s])
+    return AffineEqual(groups=groups, fixed=fixed)
 
 
 def intersect_images(specs) -> object:
@@ -229,6 +236,7 @@ class FixedSetEqualityReport:
     max_composed_displacement: float
     max_averaged_displacement: float
     n_iteration_limits: int
+    picard_steps: int  # over all starts
     max_limit_membership: float
     ok: bool
 
@@ -243,8 +251,10 @@ def fixed_set_equality_check(
     """Check both inclusions on samples.
 
     Intersection points must be fixed by the cyclic product and by the
-    uniform average; limits of the cyclic product from random starts must
-    lie in every image subspace.
+    uniform average; limits of the cyclic product from max(n // 10, 3)
+    random starts must lie in every image subspace.  The starts are
+    iterated as one batch, each row stopping as its own ``picard_iterate``
+    run would (under ``LIMIT_STOP``); ``picard_steps`` totals their steps.
     """
     specs = list(specs)
     intersection = intersect_images(specs)
@@ -255,8 +265,7 @@ def fixed_set_equality_check(
     disp_c = lp_norm(composed(pts) - pts, sp.p)
     disp_a = lp_norm(avg(pts) - pts, sp.p)
     starts = rng.uniform(-10.0, 10.0, size=(max(n // 10, 3), dim))
-    stop, monitors = StopRule(step_tol=1e-12), MonitorConfig(sp=sp)
-    limits = np.array([picard_iterate(composed, x0, stop, monitors).limit for x0 in starts])
+    limits, steps = _picard_limits(composed, starts, LIMIT_STOP, sp.p)
     membership = np.max([membership_residual(s.image, limits, sp.p) for s in specs], axis=0)
     fixed = np.maximum(disp_c, disp_a) <= FIX_TOL * lp_norm(pts, sp.p)
     within = membership <= MEMBERSHIP_TOL * np.maximum(np.abs(starts), np.abs(limits)).max(axis=1)
@@ -265,6 +274,7 @@ def fixed_set_equality_check(
         max_composed_displacement=float(disp_c.max()),
         max_averaged_displacement=float(disp_a.max()),
         n_iteration_limits=len(starts),
+        picard_steps=steps,
         max_limit_membership=float(membership.max()),
         ok=bool(fixed.all() and within.all()),
     )

@@ -142,6 +142,17 @@ class OperatorMeta:
 _UNKNOWN = OperatorMeta()
 
 
+def _all_finite(y: np.ndarray) -> bool:
+    """No NaN or Inf in y.  One vector is tested first by the sum of its
+    entries on Python floats, which warns of nothing and costs a fifth of
+    ``np.isfinite`` at d = 8: a NaN or Inf term never gives a finite float
+    sum (nor does the compensated ``sum`` of Python 3.12).  Only a sum that
+    is not finite, or a batch, reads the array itself."""
+    if y.ndim == 1 and math.isfinite(sum(y.tolist())):
+        return True
+    return bool(np.isfinite(y).all())
+
+
 class OperatorExpr:
     """Base class; subclasses implement ``_apply`` on (..., d) arrays.
 
@@ -171,7 +182,7 @@ class OperatorExpr:
             y = x @ W.T
             if not linear:
                 y += b
-            if np.isfinite(y).all():
+            if _all_finite(y):
                 return y
         return self._apply(x, linear)
 
@@ -647,7 +658,7 @@ class Resolvent(OperatorExpr):
         form = self.affine_form(x.shape[-1])
         if form is not None:
             y = x @ form[0].T if linear else x @ form[0].T + form[1]
-            if not np.isfinite(y).all():
+            if not _all_finite(y):
                 raise ResolventDiverged(f"resolvent closed form is not finite (lam={self.lam})")
             return y
         q = self.lam / (1.0 + self.lam)

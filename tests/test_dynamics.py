@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -32,6 +33,7 @@ from firmlp.operators import (
     Scale,
     SwapIsometry,
     Truncate,
+    _all_finite,
     averaged,
     compose,
     contractive_projection,
@@ -658,6 +660,58 @@ class TestCompiledEvaluation:
                 T(x)
             with pytest.raises(ResolventDiverged, match="not finite"):
                 picard_iterate(T, x, StopRule(), MonitorConfig(SP3))
+
+    @staticmethod
+    def mean_nodes(d):
+        # J/d is doubly stochastic, and every form below has positive
+        # entries only, so an Inf input is Inf in each coordinate of the
+        # value with no Inf * 0 to warn of
+        J = Affine(np.full((d, d), 1.0 / d), np.arange(d, dtype=float), p=3.0)
+        A, R = Averaged(J, 0.5), Resolvent(J, 1.0, p=3.0)
+        return A, R, compose([A, R], SP3)
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 33])
+    def test_finite_test_never_passes_inf_or_nan(self, d):
+        for bad in (math.nan, math.inf, -math.inf):
+            for fill in (1.0, 1e308, -1e308):
+                for i in range(d):
+                    y = np.full(d, fill)
+                    y[i] = bad
+                    assert not _all_finite(y)
+                    assert not _all_finite(np.stack([np.ones(d), y]))
+        # finite entries whose float sum overflows
+        assert _all_finite(np.full(d, 1e308)) and _all_finite(np.full(d, -1e308))
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_gives_the_walk(self, d, bad):
+        A, R, C = self.mean_nodes(d)
+        for i in range(d):
+            x = np.ones(d)
+            x[i] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                np.testing.assert_array_equal(A(x), walk(A, x))
+                for T in (R, C):
+                    with pytest.raises(ResolventDiverged, match="not finite"):
+                        walk(T, x)
+                    with pytest.raises(ResolventDiverged, match="not finite"):
+                        T(x)
+
+    @pytest.mark.parametrize("d", [2, 8])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_huge_finite_value_is_kept(self, d, sign):
+        # each entry 2^1023 is finite, and the float sum of the value is not
+        A, R, C = self.mean_nodes(d)
+        x = np.full(d, sign * 2.0**1023)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for T in (A, R, C):
+                out = T(x)
+                assert math.isinf(sum(out.tolist()))
+                assert_rows_close(out, walk(T, x), 1e-13)
+            np.testing.assert_array_equal(A(x), walk(A, x))
+            np.testing.assert_array_equal(R(x), walk(R, x))
 
 
 class TestSemigroup:

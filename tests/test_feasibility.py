@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from firmlp import feasibility
 from firmlp.certify import Sampler, certify_alpha_firm, certify_nonexpansive
-from firmlp.dynamics import StopRule
+from firmlp.dynamics import DivergenceError, MonitorConfig, StopRule, _picard_limits, picard_iterate
 from firmlp.feasibility import (
+    LIMIT_STOP,
     EmptyIntersectionError,
     FeasibilityError,
     IsometryCheckError,
@@ -16,7 +18,7 @@ from firmlp.feasibility import (
     load_instance_json,
     projection_from_isometry,
 )
-from firmlp.operators import Activation, Affine, Scale, SwapIsometry
+from firmlp.operators import Activation, Affine, Scale, SwapIsometry, compose
 from firmlp.projections import AffineEqual, membership_residual, sample_points
 from firmlp.space import lp_norm, space_params
 
@@ -281,6 +283,62 @@ class TestFixedSetEquality:
         assert rep.max_composed_displacement <= 1e-10
         assert rep.max_averaged_displacement <= 1e-10
         assert rep.max_limit_membership <= 1e-8
+
+
+def sequential_limits(T, starts, stop, p):
+    """One ``picard_iterate`` per start: the limits and the total steps."""
+    runs = [picard_iterate(T, x0, stop, MonitorConfig(space_params(p))) for x0 in starts]
+    return np.array([r.limit for r in runs]), sum(len(r.step_norms) for r in runs)
+
+
+class TestBatchedLimits:
+    """The starts of fixed_set_equality_check run as one batch, each row
+    under the rules of its own ``picard_iterate``."""
+
+    @staticmethod
+    def six_swaps():
+        specs = [projection_from_isometry(SwapIsometry(i, i + 1), 3.0, 8) for i in range(6)]
+        return specs, compose([s.projection for s in reversed(specs)], SP3)
+
+    def test_limits_match_sequential_runs(self):
+        _, T = self.six_swaps()
+        # one start per scale, so each row stops on its own tolerance
+        starts = np.random.default_rng(1).uniform(-10.0, 10.0, size=(13, 8))
+        starts *= 10.0 ** np.arange(-150, 151, 25)[:, None]
+        limits, steps = _picard_limits(T, starts, LIMIT_STOP, 3.0)
+        ref, ref_steps = sequential_limits(T, starts, LIMIT_STOP, 3.0)
+        for x0, limit, r in zip(starts, limits, ref):
+            first = lp_norm(T(x0) - x0, 3.0)
+            tol = LIMIT_STOP.step_tol * max(lp_norm(x0, 3.0), first)
+            assert lp_norm(limit - r, 3.0) <= 2.0 * tol
+        assert steps == ref_steps
+
+    def test_start_in_the_intersection_freezes(self):
+        _, T = self.six_swaps()
+        inside = np.array([[2.0] * 7 + [5.0], [0.0] * 8, [-3e100] * 7 + [1e-100]])
+        outside = np.random.default_rng(2).uniform(-10.0, 10.0, size=(3, 8))
+        limits, _ = _picard_limits(T, np.vstack([outside, inside]), LIMIT_STOP, 3.0)
+        np.testing.assert_array_equal(limits[3:], inside)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 30, LIMIT_STOP.max_iter])
+    def test_verdict_matches_sequential_at_any_max_iter(self, monkeypatch, max_iter):
+        specs, _ = self.six_swaps()
+        monkeypatch.setattr(feasibility, "LIMIT_STOP", StopRule(step_tol=1e-12, max_iter=max_iter))
+        batched = fixed_set_equality_check(specs, SP3, 8, n=100, seed=3)
+        monkeypatch.setattr(feasibility, "_picard_limits", sequential_limits)
+        sequential = fixed_set_equality_check(specs, SP3, 8, n=100, seed=3)
+        assert (batched.ok, batched.picard_steps) == (sequential.ok, sequential.picard_steps)
+        assert batched.max_limit_membership == pytest.approx(
+            sequential.max_limit_membership, rel=1e-9, abs=1e-13)
+        assert batched.ok == (max_iter == LIMIT_STOP.max_iter)
+
+    def test_expansive_map_diverges(self):
+        starts = np.array([[0.0, 0.0], [1.0, 2.0], [1e-3, 0.0]])
+        with pytest.raises(DivergenceError, match="overflow guard"):
+            _picard_limits(Scale(2.0), starts, StopRule(), 3.0)
+        # a step that overflows to Inf is a divergence too
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="overflowed"):
+            _picard_limits(Scale(-1.0), np.array([[1.0, 0.0], [1e308, 0.0]]), StopRule(), 3.0)
 
 
 class TestInstanceLoading:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firmlp.space import (
+    NonFiniteError,
     SpaceParams,
     ball_inequality_residual,
     convexity_residual,
     lp_norm,
+    norm_pow,
     space_params,
 )
 
@@ -105,6 +108,72 @@ class TestLpNorm:
         x, y = np.array(xs[:n]), np.array(ys[:n])
         for p in PS:
             assert lp_norm(x + y, p) <= lp_norm(x, p) + lp_norm(y, p) + 1e-12
+
+
+
+class TestOneVectorPath:
+    """One vector at p = 2 and 3 sums its powers on Python floats up to
+    32 entries (33 is the first size past that path); every size keeps
+    the guarantees of the batch path."""
+
+    SIZES = [1, 2, 8, 32, 33]
+    SCALES = [10.0**k for k in range(-150, 151, 10)]
+
+    @staticmethod
+    def vectors(d):
+        rng = np.random.default_rng(d)
+        return [rng.uniform(-1.0, 1.0, size=d), rng.standard_normal(d), np.ones(d)]
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("d", SIZES)
+    def test_agrees_with_batch_at_every_scale(self, p, d):
+        for x in self.vectors(d):
+            unit = lp_norm(x, p)
+            for c in self.SCALES:
+                single, batch = lp_norm(c * x, p), lp_norm((c * x)[None], p)[0]
+                assert type(single) is np.float64
+                assert abs(single - batch) <= 4.0 * np.spacing(batch)
+                assert single == pytest.approx(c * unit, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("d", SIZES)
+    def test_zero_iff_zero(self, p, d):
+        zero = lp_norm(np.zeros(d), p)
+        assert zero == 0.0 and type(zero) is np.float64
+        for i in range(d):
+            for entry in (5e-324, -1e-300, 1e300):
+                x = np.zeros(d)
+                x[i] = entry
+                assert lp_norm(x, p) == abs(entry)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("d", SIZES)
+    def test_non_finite_raises_at_every_position(self, p, d):
+        for bad in (math.nan, math.inf, -math.inf):
+            for fill in (1.0, 1e300):
+                for i in range(d):
+                    x = np.full(d, fill)
+                    x[i] = bad
+                    with pytest.raises(NonFiniteError):
+                        lp_norm(x, p)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("d", SIZES)
+    def test_norm_pow_overflows_to_inf(self, p, d):
+        # a Python float norm would raise OverflowError at ** r
+        x = np.full(d, 1e160)
+        with np.errstate(over="ignore"):
+            assert norm_pow(x, space_params(p)) == math.inf
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("d", SIZES[:-1])
+    def test_sums_left_to_right(self, p, d):
+        # the builtin sum is compensated from Python 3.12 on; the norm is
+        # the root of this plain loop on every version
+        for x in self.vectors(d):
+            s = functools.reduce(lambda s, t: s + t * t * (abs(t) if p == 3.0 else 1.0),
+                                 x.tolist(), 0.0)
+            assert lp_norm(x, p) == (math.sqrt(s) if p == 2.0 else np.cbrt(s))
 
 
 class TestSpaceParams:
