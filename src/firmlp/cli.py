@@ -239,11 +239,16 @@ def _cmd_semigroup(out: Path, cfg: dict, sp, F) -> int:
     with _output(csv_path) as fh:
         cols = ["n", "t"] + [f"x_{i+1}" for i in range(cfg["dim"])] + ["diff", "closed_form_error"]
         fh.write(",".join(cols) + "\n")
-        for k, n in enumerate(est.schedule):
-            row = [str(n), dynamics.fmt(t)] + [dynamics.fmt(v) for v in est.values[k]]
-            row.append("" if k == 0 else dynamics.fmt(est.diffs[k - 1]))
-            row.append("" if errors is None else dynamics.fmt(errors[k]))
-            fh.write(",".join(row) + "\n")
+        # one %-format per row over Python floats ("%.17g" % v is dynamics.fmt(v));
+        # the first row has no diff, and a generator without a closed form no error
+        head = "%d" + ",%.17g" * (1 + cfg["dim"])
+        closed = "," if errors is None else ",%.17g"
+        first, line = head + "," + closed + "\n", head + ",%.17g" + closed + "\n"
+        diffs = est.diffs.tolist()
+        known = [] if errors is None else [errors.tolist()]
+        for k, (n, values, *err) in enumerate(zip(est.schedule, est.values.tolist(), *known)):
+            fh.write(line % (n, t, *values, diffs[k - 1], *err) if k else
+                     first % (n, t, *values, *err))
     summary = {
         "t": t,
         "schedule": list(est.schedule),

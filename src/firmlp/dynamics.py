@@ -428,14 +428,15 @@ def trajectory_to_csv(traj: Trajectory, fh) -> None:
     cols = ["n"] + [f"x_{i+1}" for i in range(d)] + ["step_norm"]
     m = 0 if traj.fejer_distances is None else traj.fejer_distances.shape[1]
     cols += [f"fejer_dist_{k+1}" for k in range(m)]
+    tail = [traj.fejer_distances] if m else []
     if traj.fix_projections is not None:
         cols += [f"proj_x_{i+1}" for i in range(d)]
+        tail.append(traj.fix_projections)
     fh.write(",".join(cols) + "\n")
-    for i, xi in enumerate(traj.iterates):
-        row = [str(i)] + [fmt(v) for v in xi]
-        row.append("" if i == 0 else fmt(traj.step_norms[i - 1]))
-        if m:
-            row += [fmt(v) for v in traj.fejer_distances[i]]
-        if traj.fix_projections is not None:
-            row += [fmt(v) for v in traj.fix_projections[i]]
-        fh.write(",".join(row) + "\n")
+    # one %-format per row over Python floats: "%.17g" % v is fmt(v)
+    head, rest = "%d" + ",%.17g" * d, ",%.17g" * (len(cols) - d - 2)
+    steps = np.concatenate([[0.0], traj.step_norms])  # a placeholder in row 0
+    rows = np.column_stack([traj.iterates, steps, *tail]).tolist()
+    fh.write((head + "," + rest + "\n") % (0, *rows[0][:d], *rows[0][d + 1:]))
+    line = head + ",%.17g" + rest + "\n"
+    fh.writelines(line % (i, *row) for i, row in enumerate(rows[1:], 1))

@@ -5,9 +5,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from firmlp import certify, cli, dynamics, feasibility
 from firmlp.cli import main
+
+
+# every float: nan, +-inf, -0.0, subnormals and the largest float included
+ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
+                     np.finfo(float).max, -np.finfo(float).max]),
+)
 
 
 def write_config(tmp_path, name, doc):
@@ -560,6 +570,30 @@ class TestSemigroupCommand:
         summary = json.loads((tmp_path / "semigroup.json").read_text())
         assert "rounds to 1" in summary["error"]
         assert summary["cauchy_ok"] is False and summary["schedule"] == []
+
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.lists(ANY_FLOAT, min_size=4, max_size=4), min_size=1, max_size=4),
+           st.booleans())
+    def test_csv_rows_format_as_fmt(self, tmp_path, monkeypatch, rows, closed):
+        # each row is one %-format; it must write what fmt writes, value by value
+        table = np.array(rows)
+        est = dynamics.SemigroupEstimate(
+            schedule=tuple(range(1, len(rows) + 1)), values=table[:, :2], diffs=table[1:, 2],
+            cauchy_ok=True, value=table[-1, :2], closed_form_errors=table[:, 3] if closed else None,
+        )
+        monkeypatch.setattr(dynamics, "semigroup_limit_estimate", lambda *args: est)
+        assert main(["semigroup", "--config", self.config(tmp_path, schedule=(1,)),
+                     "--out", str(tmp_path)]) == 0
+        fmt = dynamics.fmt
+        expected = [
+            ",".join([str(n), fmt(1.0)] + [fmt(v) for v in table[k, :2]]
+                     + ["" if k == 0 else fmt(est.diffs[k - 1]),
+                        fmt(table[k, 3]) if closed else ""])
+            for k, n in enumerate(est.schedule)
+        ]
+        assert (tmp_path / "semigroup.csv").read_text().splitlines()[1:] == expected
 
 
 class TestFeasibilityCommand:

@@ -1,4 +1,7 @@
+import decimal
+import io
 import math
+import pickle
 import warnings
 from collections import Counter
 
@@ -7,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from firmlp import dynamics
+from firmlp import dynamics, operators
 from firmlp.dynamics import (
     DivergenceError,
     MonitorConfig,
     StopRule,
+    Trajectory,
     asymptotic_regularity_report,
     picard_iterate,
     resolvent_apply,
@@ -21,6 +25,7 @@ from firmlp.dynamics import (
     trajectory_to_csv,
 )
 from firmlp.operators import (
+    RESOLVENT_TOL,
     Activation,
     Affine,
     Averaged,
@@ -166,6 +171,45 @@ class TestPicard:
         assert val == traj.iterates[1][0]
 
 
+def reference_csv(traj):
+    """The trajectory CSV as one ``fmt`` call per value."""
+    fmt = dynamics.fmt
+    rows = []
+    for i, xi in enumerate(traj.iterates):
+        row = [str(i)] + [fmt(v) for v in xi]
+        row.append("" if i == 0 else fmt(traj.step_norms[i - 1]))
+        for block in (traj.fejer_distances, traj.fix_projections):
+            if block is not None:
+                row += [fmt(v) for v in block[i]]
+        rows.append(",".join(row) + "\n")
+    return "".join(rows)
+
+
+# every float: nan, +-inf, -0.0, subnormals and the largest float included
+any_float = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                     np.finfo(float).max, -np.finfo(float).max, np.finfo(float).tiny]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2), st.booleans(), st.data())
+def test_csv_rows_format_as_fmt(n, d, m, projections, data):
+    block = lambda rows, cols: np.array(
+        data.draw(st.lists(any_float, min_size=rows * cols, max_size=rows * cols))
+    ).reshape(rows, cols)
+    traj = Trajectory(
+        iterates=block(n, d), step_norms=block(1, n - 1)[0], final_residual=0.0,
+        converged=True, stop_reason="step_tol",
+        fejer_distances=block(n, m) if m else None,
+        fix_projections=block(n, d) if projections else None,
+    )
+    fh = io.StringIO()
+    trajectory_to_csv(traj, fh)
+    assert fh.getvalue().split("\n", 1)[1] == reference_csv(traj)
+
+
 class TestAsymptoticRegularity:
     def test_truncation_converges_in_one_step(self):
         from firmlp.operators import truncation_operator
@@ -254,6 +298,37 @@ class TestResolvent:
         with pytest.raises(ResolventDiverged):
             R(np.array([1.0, 1.0]))
 
+    @pytest.mark.filterwarnings("ignore:resolvent of an operator without:UserWarning")
+    @pytest.mark.parametrize("inner, lam, x, match, iterated", [
+        (lambda: two_swap_chain(SP3), 1e17, [1.0, 0.0, 0.0, 0.0], "singular", False),
+        (lambda: Affine(0.5 * np.eye(2), np.array([1.5e308, 0.0]), p=3.0), 1.0, [1.5e308, 0.0],
+         "closed form is not finite", False),
+        (lambda: Activation("tanh"), 1e17, [3.0, 0.0], "rounds to 1", False),
+        (lambda: Activation("tanh"), 1.0, [math.inf, 0.0], "input is not finite", False),
+        (lambda: Scale(40.0), 9.0, [1e307, 1e307], "iterate is not finite", True),
+        (lambda: Scale(40.0), 9.0, [1.0, 1.0], "did not contract", True),
+    ], ids=["singular", "closed_form", "rounds_to_1", "input", "iterate", "no_contraction"])
+    def test_diverged_carries_its_diagnostics(self, inner, lam, x, match, iterated):
+        with np.errstate(over="ignore"), pytest.raises(ResolventDiverged, match=match) as err:
+            Resolvent(inner(), lam, p=3.0)(np.array(x))
+        assert err.value.lam == lam
+        if iterated:
+            assert err.value.iterations >= 1 and err.value.last_step > 0.0
+        else:
+            assert (err.value.iterations, err.value.last_step) == (0, None)
+        copy = pickle.loads(pickle.dumps(err.value))
+        assert str(copy) == str(err.value)
+        assert (copy.lam, copy.iterations, copy.last_step) == (
+            err.value.lam, err.value.iterations, err.value.last_step)
+
+    def test_newton_budget_raises_with_its_diagnostics(self, monkeypatch):
+        # at lam = 1e4, x = 5 takes about ten Newton steps
+        monkeypatch.setattr(operators, "NEWTON_BUDGET", 2)
+        with pytest.raises(ResolventDiverged, match="did not settle") as err:
+            Resolvent(Activation("tanh"), 1e4, p=3.0)(np.array([5.0, 0.0]))
+        assert (err.value.lam, err.value.iterations) == (1e4, 2)
+        assert 0.0 < err.value.last_step < math.inf
+
     def test_short_vector_raises_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             resolvent_apply(SwapIsometry(0, 5), 1.0, np.zeros(2), SP2)
@@ -329,6 +404,18 @@ class TestResolvent:
         with np.errstate(over="ignore"), pytest.raises(ResolventDiverged, match="not finite"):
             R(np.array([1e307, 1e307]))
 
+    @pytest.mark.parametrize("inner", [Activation("tanh"), Activation("relu"),
+                                       Averaged(Activation("tanh"), 0.5)])
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_raises_silently(self, inner, batched, bad):
+        x = np.array([bad, 0.0, 0.0, 0.0])
+        R = Resolvent(inner, 1.0, p=3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResolventDiverged, match="not finite"):
+                R(np.stack([np.ones(4), x]) if batched else x)
+
     def test_iteration_cost_scales_with_contraction_factor(self):
         # residual after k steps decays like (lam/(1+lam))^k
         F = Scale(-1.0)
@@ -368,6 +455,186 @@ def test_resolvent_scale_free(xs, c, p, lam, inner):
     # alone, and next to the unscaled row in one batch
     for out in (R(c * x), R(np.stack([x, c * x]))[1]):
         assert np.max(np.abs(out - c * ref)) <= 1e-10 * scale
+
+
+# entries of moderate size, so c * x keeps every entry in range at each c
+coords = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(min_value=1e-3, max_value=10.0),
+        st.floats(min_value=-10.0, max_value=-1e-3),
+    ),
+    min_size=4,
+    max_size=4,
+)
+# log-uniform over 1e-150..1e150
+scales = st.floats(min_value=-150.0, max_value=150.0).map(lambda e: 10.0**e)
+EPS = np.finfo(float).eps
+# coordinatewise inners -> (activation on floats, the factor a of lam)
+COORDINATEWISE = {
+    "tanh": (np.tanh, 1.0),
+    "relu": (lambda y: np.maximum(y, 0.0), 1.0),
+    "averaged_tanh": (np.tanh, 0.3),
+    "averaged_relu": (lambda y: np.maximum(y, 0.0), 0.6),
+}
+
+
+def coordinatewise_inner(name):
+    act = Activation(name.rsplit("_", 1)[-1])
+    return Averaged(act, COORDINATEWISE[name][1]) if name.startswith("averaged") else act
+
+
+def contraction_reference(inner, lam, p, x):
+    # Compose((F,)) is F as a map but no coordinatewise node: it iterates
+    return Resolvent(Compose((inner,), space_params(p)), lam, p=p)(x)
+
+
+def contraction_error(lam, scale):
+    # the contraction's error, about RESOLVENT_TOL lam times its scale, and
+    # a few eps (1 + lam) of rounding in either value
+    return (lam * RESOLVENT_TOL + 8.0 * EPS * (1.0 + lam)) * scale
+
+
+class TestCoordinatewiseResolvent:
+    """A resolvent of an activation, or of an average of one, solved one
+    coordinate at a time: relu in closed form, tanh by a scalar Newton."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(coords, scales, st.sampled_from([1e-3, 1.0, 1e4]), st.sampled_from([1.5, 3.0, 6.0]),
+           st.sampled_from(sorted(COORDINATEWISE)))
+    def test_value_between_x_over_one_plus_lam_and_x(self, xs, c, lam, p, name):
+        lam_a = COORDINATEWISE[name][1] * lam
+        x = c * np.array(xs)
+        y = Resolvent(coordinatewise_inner(name), lam, p=p)(x)
+        assert np.array_equal(np.sign(y), np.sign(x))
+        assert np.all(np.abs(y) <= np.abs(x))
+        # the lower end as rounded: x/(1 + lam) itself is a rounded value
+        assert np.all(np.abs(y) >= np.abs(x) / (1.0 + lam_a) * (1.0 - 2.0 * EPS))
+
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 1e4])
+    def test_bracket_over_many_coordinates(self, lam):
+        # one vector of 4000 coordinates from 1e-150 to 1e150: a rounding
+        # step that moved y away from 0 would put |y| above |x| somewhere
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-10.0, 10.0, 4000) * 10.0 ** rng.uniform(-150.0, 150.0, 4000)
+        y = Resolvent(Activation("tanh"), lam, p=3.0)(x)
+        assert np.array_equal(np.sign(y), np.sign(x)) and np.all(np.abs(y) <= np.abs(x))
+        assert np.all(np.abs(y) >= np.abs(x) / (1.0 + lam) * (1.0 - 2.0 * EPS))
+
+    @settings(max_examples=60, deadline=None)
+    @given(coords, scales, st.sampled_from([1e-3, 1.0, 1e4]), st.sampled_from([1.5, 3.0, 6.0]),
+           st.sampled_from(sorted(COORDINATEWISE)))
+    def test_recovers_y_from_its_forward_map(self, ys, c, lam, p, name):
+        sigma, a = COORDINATEWISE[name]
+        y = c * np.array(ys)
+        x = (1.0 + a * lam) * y - a * lam * sigma(y)
+        out = Resolvent(coordinatewise_inner(name), lam, p=p)(x)
+        # the rounding of x and of the solve, each about eps (1 + lam) max|y|
+        assert np.max(np.abs(out - y)) <= 8.0 * EPS * (1.0 + a * lam) * np.max(np.abs(y))
+
+    @settings(max_examples=40, deadline=None)
+    @given(coords, scales, st.sampled_from([1e-3, 1.0]), st.sampled_from([1.5, 3.0, 6.0]),
+           st.sampled_from(sorted(COORDINATEWISE)))
+    def test_matches_the_contraction(self, xs, c, lam, p, name):
+        # at lam = 1e4 the contraction takes up to ~1 s a call: the fixed
+        # cases below take it at three scales
+        self.check_against_contraction(c * np.array(xs), lam, p, name)
+
+    @pytest.mark.parametrize("name", sorted(COORDINATEWISE))
+    @pytest.mark.parametrize("c", [1e-150, 1.0, 1e150])
+    def test_matches_the_contraction_at_large_lam(self, c, name):
+        self.check_against_contraction(c * np.array([2.0, -0.5, 0.0, 7.0]), 1e4, 3.0, name)
+
+    @staticmethod
+    def check_against_contraction(x, lam, p, name):
+        inner = coordinatewise_inner(name)
+        R, bound = Resolvent(inner, lam, p=p), contraction_error(lam, np.max(np.abs(x)))
+        y = R(x)
+        # a batch row is solved as the one vector is
+        np.testing.assert_array_equal(R(np.stack([-x, x]))[1], y)
+        assert np.max(np.abs(y - contraction_reference(inner, lam, p, x))) <= bound
+
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 1e4, 1e15])
+    def test_relu_closed_form_is_exact(self, lam):
+        x = np.array([[3.0, -3.0, 0.0, -1e-300], [1e300, -1e300, -0.0, 5e-324]])
+        y = Resolvent(Activation("relu"), lam, p=3.0)(x)
+        np.testing.assert_array_equal(y, np.where(x > 0.0, x, x / (1.0 + lam)))
+
+    @pytest.mark.parametrize("sigma", ["tanh", "relu"])
+    @pytest.mark.parametrize("a", [0.3, 0.6])
+    def test_averaged_inner_is_the_activation_at_a_lam(self, sigma, a):
+        x = np.array([2.0, -0.5, 0.0, 7.0])
+        for lam in (1e-3, 1.0, 1e4):
+            y = Resolvent(Averaged(Activation(sigma), a), lam, p=3.0)(x)
+            np.testing.assert_array_equal(y, Resolvent(Activation(sigma), a * lam, p=3.0)(x))
+            if lam < 1e4:  # the contraction on (1 - a) Id + a sigma itself
+                ref = contraction_reference(Averaged(Activation(sigma), a), lam, 3.0, x)
+                assert np.max(np.abs(y - ref)) <= contraction_error(lam, 7.0)
+
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 1e2, 1e4, 1e8, 1e12, 2.0**52])
+    def test_tanh_is_within_two_eps_of_its_root(self, lam):
+        # g(y) = (1 + lam) y - lam tanh y increases, so the root of g = x
+        # lies within 2 eps |y| of y iff x lies between g(y (1 -+ 2 eps)),
+        # each evaluated exactly enough in 80-digit decimals
+        x = np.array([m * 10.0**e for e in range(-6, 7) for m in (1.0, -3.7, 0.31)])
+        y = Resolvent(Activation("tanh"), lam, p=3.0)(x)
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.Emax, ctx.Emin = 80, 10**6, -(10**6)
+            D, two_eps = decimal.Decimal, 2 * decimal.Decimal(EPS)
+
+            def g(v):
+                e = (2 * v).exp()
+                return (1 + D(lam)) * v - D(lam) * (e - 1) / (e + 1)
+
+            for xi, yi in zip(x.tolist(), y.tolist()):
+                ends = sorted(g(D(yi) * (1 + s * two_eps)) for s in (-1, 1))
+                assert ends[0] <= D(xi) <= ends[1], (xi, yi)
+
+    def test_tiny_input_at_large_lam_returns(self):
+        # (1 + lam) y and lam tanh y cancel: the stop rule must not stall
+        rng = np.random.default_rng(8)
+        R = Resolvent(Activation("tanh"), 1e4, p=3.0)
+        for _ in range(30):
+            x = rng.uniform(-1e-8, 1e-8, size=4)
+            y = R(x)
+            residual = (1.0 + 1e4) * y - 1e4 * np.tanh(y) - x
+            assert np.max(np.abs(residual)) <= 8.0 * EPS * (1.0 + 1e4) * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("name", ["tanh", "averaged_tanh", "relu"])
+    @pytest.mark.parametrize("big", [1e308, -1e308, np.finfo(float).max])
+    def test_largest_inputs_do_not_overflow(self, name, big):
+        # at lam = 1, y = x/2 + tanh(y)/2: no step may form (1 + lam) y
+        lam_a = COORDINATEWISE[name][1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = Resolvent(coordinatewise_inner(name), 1.0, p=3.0)(np.array([big, 0.0, 1.0]))
+        expected = big / (1.0 + lam_a) if (name != "relu" or big < 0) else big
+        assert y[0] == pytest.approx(expected, rel=4.0 * EPS, abs=0.0)
+
+
+# non-homogeneous inners: R(c x) is not c R(x), but every value is as
+# accurate, relative to its own scale, at every scale
+NON_HOMOGENEOUS = {
+    "tanh": (lambda sp: Activation("tanh"), [1e-3, 1.0, 1e4]),
+    "averaged_tanh": (lambda sp: Averaged(Activation("tanh"), 0.3), [1e-3, 1.0, 1e4]),
+    # not coordinatewise nodes: the contraction, which at lam = 1e4 takes seconds
+    "neg_tanh": (lambda sp: compose([Scale(-1.0), Activation("tanh")], sp), [1e-3, 1.0]),
+    "swaps_tanh": (lambda sp: compose([two_swap_chain(sp), Activation("tanh")], sp), [1e-3, 1.0]),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(coords, scales, st.sampled_from([1.5, 3.0, 6.0]), st.sampled_from(sorted(NON_HOMOGENEOUS)),
+       st.integers(0, 2), st.booleans())
+def test_resolvent_accuracy_is_scale_free(xs, c, p, name, k, batched):
+    build, lams = NON_HOMOGENEOUS[name]
+    lam, sp = lams[k % len(lams)], space_params(p)
+    F = build(sp)
+    x = c * np.array(xs)
+    y = Resolvent(F, lam, p=p)(np.stack([x, x]))[1] if batched else Resolvent(F, lam, p=p)(x)
+    # |y - J x| <= ||residual|| for every nonexpansive F, in any lp norm
+    residual = (1.0 + lam) * y - lam * F(y) - x
+    assert np.max(np.abs(residual)) <= contraction_error(lam, c * max(np.max(np.abs(xs)), 1e-3))
 
 
 def _affine_map(sp, d):
@@ -698,6 +965,15 @@ class TestCompiledEvaluation:
                     with pytest.raises(ResolventDiverged, match="not finite"):
                         T(x)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_skips_the_product(self, bad):
+        # Inf * 0 in x @ W.T would warn; the walk returns the value silently
+        A = Averaged(SwapIsometry(0, 1), 0.5)
+        x = np.array([bad, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(A(x), [bad, bad, 0.0])
+
     @pytest.mark.parametrize("d", [2, 8])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_huge_finite_value_is_kept(self, d, sign):
@@ -769,18 +1045,6 @@ class TestSemigroup:
             semigroup_limit_estimate(Scale(-1.0), t, np.ones(2), [], SP2)
 
 
-# entries of moderate size, so c * x keeps every entry in range at each c
-coords = st.lists(
-    st.one_of(
-        st.just(0.0),
-        st.floats(min_value=1e-3, max_value=10.0),
-        st.floats(min_value=-10.0, max_value=-1e-3),
-    ),
-    min_size=4,
-    max_size=4,
-)
-# log-uniform over 1e-150..1e150
-scales = st.floats(min_value=-150.0, max_value=150.0).map(lambda e: 10.0**e)
 
 
 class TestScaleFreeVerdicts:
