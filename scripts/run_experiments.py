@@ -23,6 +23,7 @@ COMMANDS = {
     "resolvent_bruck_certify.json": "certify",
     "resolvent_negation.json": "resolvent",
     "semigroup_negation.json": "semigroup",
+    "semigroup_swaps.json": "semigroup",
     "semigroup_tanh.json": "semigroup",
     "iterate_swaps.json": "iterate",
     "feasibility_swaps.json": "feasibility",

@@ -21,7 +21,8 @@ Resolvents are ``operators.Resolvent`` nodes, whose docstring describes
 their closed-form and iteration paths and the error of each.
 n-fold products of resolvents at parameter t/n approximate the semigroup
 generated by F, with firm constant n^(r-1)/(n^(r-1)+1), and are the
-identity at t = 0.  ``semigroup_product`` composes one step node n times.
+identity at t = 0.  ``semigroup_product`` is one node for n copies of the
+step, so building it costs the same at every n.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import _firm_slack, _separation
-from .operators import OperatorExpr, ResolventDiverged, Scale, compose, resolvent_operator
+from .operators import OperatorExpr, ResolventDiverged, Scale, _Power, resolvent_operator
 from .projections import project, sample_points
 from .space import NonFiniteError, SpaceParams, lp_norm
 
@@ -332,14 +333,18 @@ def resolvent_apply(F: OperatorExpr, lam: float, x, sp: SpaceParams):
 
 def semigroup_product(F: OperatorExpr, t: float, n: int, sp: SpaceParams) -> OperatorExpr:
     """n-fold product of resolvents at parameter t/n; firm constant
-    n^(r-1)/(n^(r-1)+1)."""
+    n^(r-1)/(n^(r-1)+1).
+
+    The product is one node holding the step and n, with the metadata and
+    values of the n-fold composition of the step; an affine step's product
+    compiles by squaring.  It has no JSON form: no config writes a product.
+    """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"semigroup t must be finite and >= 0, got {t}")
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    step = resolvent_operator(F, t / n, sp)
-    return compose([step] * n, sp)
+    return _Power(resolvent_operator(F, t / n, sp), n, sp)
 
 
 @dataclass

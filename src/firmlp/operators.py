@@ -42,11 +42,15 @@ Evaluation compiles affine subtrees.  A compound affine node (an average,
 composition or convex combination with ``affine`` set) evaluates as
 ``x @ W.T + b`` from its cached form, at the root and wherever it sits in
 a nonlinear tree (the averaged layers of ``neural_network``); the linear
-channel drops ``b``.  A composition of n copies of one node (a semigroup
-product) gets its form by squaring the augmented matrix [[W, b], [0, 1]],
+channel drops ``b``.  A semigroup product is one node, ``_Power``, for n
+copies of its step (built only by ``dynamics.semigroup_product``): it takes
+the metadata of the n-fold composition through the composition's two
+routes, and its form by squaring the augmented matrix [[W, b], [0, 1]],
 about 2 log2(n) small products instead of walking n nodes.  A compiled
 value that is not finite, or one whose input is not finite, is evaluated
-by the walk (``_apply``), so every failure raises what the walk raises.
+by the walk (``_apply``), so every failure raises what the walk raises; a
+batch's product is formed with numpy's invalid and overflow warnings off,
+as a row that is not finite discards it for the walk.
 ``Resolvent``'s cached form is its closed form, one linear solve replacing
 its iteration.  A resolvent of a coordinatewise inner (an activation, or an
 average of one) is solved one coordinate at a time.  Every other resolvent
@@ -193,12 +197,21 @@ class OperatorExpr:
         """The value as ``apply`` and parent nodes take it: a compiled node's
         cached form, or ``_apply`` where that value or a one-vector input is
         not finite (so a failure raises what the walk raises, and no Inf * 0
-        of the product warns); ``_apply`` on any other node."""
+        of the product warns: a batch forms its product with those warnings
+        off); ``_apply`` on any other node."""
         if self.compiled and (x.ndim > 1 or _all_finite(x)):
             W, b = self.affine_form(x.shape[-1])
-            y = np.dot(x, W.T)  # the BLAS call of x @ W.T, with less dispatch
-            if not linear:
-                y += b
+            if x.ndim == 1:
+                y = np.dot(x, W.T)  # the BLAS call of x @ W.T, with less dispatch
+                if not linear:
+                    y += b
+            else:
+                # a batch is not tested first: a row that is not finite may
+                # warn in the product, whose value then goes to the walk
+                with np.errstate(invalid="ignore", over="ignore"):
+                    y = np.dot(x, W.T)
+                    if not linear:
+                        y += b
             if _all_finite(y):
                 return y
         return self._apply(x, linear)
@@ -565,13 +578,26 @@ def _combined_meta(ops, weights, firm_route, avg_route) -> OperatorMeta:
     )
 
 
+def _composed_firm(alphas, n: int, r: float) -> float:
+    """The firm route of ``Compose`` over n factors, in the space of type r."""
+    a_max = max(alphas)
+    return 1.0 / (1.0 + (1.0 - a_max) / (n ** (r - 1.0) * a_max))
+
+
+def _composed_averaged(avgs) -> float:
+    """The averaged route of ``Compose``."""
+    return 1.0 - math.prod(1.0 - a for a in avgs)
+
+
 @dataclass(eq=False)
 class Compose(OperatorExpr):
     """ops[0] applied last: Compose([A, B])(x) = A(B(x)).
 
     Metadata comes from the n operands other than identities
     (``_combined_meta``).  Firm route (1 + (1 - a_max)/(n^(r-1) a_max))^(-1),
-    with r of the space ``sp``; averaged route 1 - prod(1 - a_i).
+    with r of the space ``sp``; averaged route 1 - prod(1 - a_i).  Both are
+    module functions that ``_Power`` calls too, so n copies of one node are
+    one ``_Power``, never a repeat case here.
     """
 
     kind = "compose"
@@ -585,13 +611,10 @@ class Compose(OperatorExpr):
         self.ops = ops
         self.dims = _merged_dims(ops)
         self.affine = self.compiled = all(op.affine for op in ops)
-
-        def firm(alphas):
-            a_max = max(alphas)
-            return 1.0 / (1.0 + (1.0 - a_max) / (len(alphas) ** (self.sp.r - 1.0) * a_max))
-
         self.meta = _combined_meta(
-            ops, (1.0,) * len(ops), firm, lambda avgs, _: 1.0 - math.prod(1.0 - a for a in avgs)
+            ops, (1.0,) * len(ops),
+            lambda alphas: _composed_firm(alphas, len(alphas), self.sp.r),
+            lambda avgs, _: _composed_averaged(avgs),
         )
 
     def _apply(self, x, linear=False):
@@ -599,16 +622,38 @@ class Compose(OperatorExpr):
             x = op._eval(x, linear)
         return x
 
+
+@dataclass(eq=False)
+class _Power(OperatorExpr):
+    """step applied n times, with the metadata of ``Compose((step,) * n, sp)``
+    derived from its one operand.  Its affine form is the n-th power of
+    [[W, b], [0, 1]] by squaring, about 2 log2(n) small products; the zero
+    row keeps b out of the W block.  ``dynamics.semigroup_product`` builds
+    it; it has no JSON form."""
+
+    step: OperatorExpr
+    n: int
+    sp: SpaceParams
+
+    def __post_init__(self):
+        self.dims = self.step.dims
+        self.affine = self.compiled = self.step.affine
+        self.meta = _combined_meta(
+            (self.step,), (1.0,),
+            lambda alphas: _composed_firm(alphas, self.n, self.sp.r),
+            lambda avgs, _: _composed_averaged(avgs * self.n),
+        )
+
+    def _apply(self, x, linear=False):
+        for _ in range(self.n):
+            x = self.step._eval(x, linear)
+        return x
+
     def _compile(self, d):
-        op, n = self.ops[0], len(self.ops)
-        if n == 1 or any(o is not op for o in self.ops):
-            return super()._compile(d)
-        # n copies of one node: the n-th power of [[W, b], [0, 1]] by
-        # squaring; its zero row keeps b out of the W block
-        W, b = op.affine_form(d)
+        W, b = self.step.affine_form(d)
         aug = np.eye(d + 1)
         aug[:d, :d], aug[:d, d] = W, b
-        power = np.linalg.matrix_power(aug, n)
+        power = np.linalg.matrix_power(aug, self.n)
         return power[:d, :d].copy(), power[:d, d].copy()
 
 

@@ -394,29 +394,28 @@ def _intersection_kind(C) -> tuple:
 def merge_fixed_point_sets(sets):
     """Structural intersection of set descriptors.
 
-    Whole-space operands drop out, and a single remaining operand (counting
-    repeats) is the answer.  Among two or more: with the origin present and
-    only boxes and equal-coordinate sets, the answer is ``ORIGIN`` when all
-    of them hold the origin and ``EMPTY_INTERSECTION`` otherwise;
-    equal-coordinate sets alone merge into blocks of the indices their
-    groups and pins join, boxes alone by their coordinatewise meet, each
-    ``EMPTY_INTERSECTION`` on a contradiction.  Any other mix, a ball or
-    halfspace among several operands, or a missing descriptor (None) gives
-    None.  Each distinct descriptor (by identity) is examined once, so n
-    copies of one set cost what one does.
+    Whole-space operands drop out, and a single remaining operand is the
+    answer.  Among two or more: with the origin present and only boxes and
+    equal-coordinate sets, the answer is ``ORIGIN`` when all of them hold
+    the origin and ``EMPTY_INTERSECTION`` otherwise; equal-coordinate sets
+    alone merge into blocks of the indices their groups and pins join,
+    boxes alone by their coordinatewise meet, each ``EMPTY_INTERSECTION`` on
+    a contradiction.  Any other mix, a ball or halfspace among several
+    operands, or a missing descriptor (None) gives None.  Each operand is
+    examined, repeats included: a semigroup product passes its step's set
+    once.
     """
     sets = list(sets)
     if not sets or any(s is None for s in sets):
         return None
-    distinct = {id(s): s for s in sets}
-    kinds = {key: _intersection_kind(s) for key, s in distinct.items()}
-    kept = [s for s in sets if kinds[id(s)][0] != "whole"]
+    kinds = [(s, *_intersection_kind(s)) for s in sets]
+    kept = [(s, label, holds) for s, label, holds in kinds if label != "whole"]
     if len(kept) < 2:
-        return kept[0] if kept else WHOLE_SPACE
-    kept = [s for key, s in distinct.items() if kinds[key][0] != "whole"]
-    labels = {kinds[id(s)][0] for s in kept}
+        return kept[0][0] if kept else WHOLE_SPACE
+    kept, labels, holds = zip(*kept)
+    labels = set(labels)
     if "origin" in labels and None not in labels:
-        return ORIGIN if all(kinds[id(s)][1] for s in kept) else EMPTY_INTERSECTION
+        return ORIGIN if all(holds) else EMPTY_INTERSECTION
     if labels == {"affine_equal"}:
         return _merge_affine_equal(kept)
     if labels == {"box"}:

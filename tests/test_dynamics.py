@@ -1,3 +1,4 @@
+import contextlib
 import decimal
 import io
 import math
@@ -39,6 +40,7 @@ from firmlp.operators import (
     SwapIsometry,
     Truncate,
     _all_finite,
+    _Power,
     averaged,
     compose,
     contractive_projection,
@@ -48,6 +50,7 @@ from firmlp.operators import (
     neural_network,
     stable_activation,
 )
+from firmlp.projections import set_to_json
 from firmlp.space import lp_norm, space_params
 
 SP2 = space_params(2.0)
@@ -831,19 +834,12 @@ def network(dim, sp):
 @pytest.fixture
 def compile_calls(monkeypatch):
     """(id(node), d) -> number of times the node computed its form."""
-    calls, running = Counter(), set()
-    for cls in (OperatorExpr, Compose, Resolvent):
+    calls = Counter()
+    for cls in (OperatorExpr, _Power, Resolvent):
 
         def counting(self, d, original=cls.__dict__["_compile"]):
-            key = (id(self), d)
-            if key in running:  # Compose reaching the base rule through super()
-                return original(self, d)
-            calls[key] += 1
-            running.add(key)
-            try:
-                return original(self, d)
-            finally:
-                running.discard(key)
+            calls[(id(self), d)] += 1
+            return original(self, d)
 
         monkeypatch.setattr(cls, "_compile", counting)
     return calls
@@ -974,6 +970,17 @@ class TestCompiledEvaluation:
             warnings.simplefilter("error")
             np.testing.assert_array_equal(A(x), [bad, bad, 0.0])
 
+    def test_batch_with_inf_row_gives_the_walk(self):
+        # the product forms Inf * 0 in the first row; the batch is not
+        # tested before it, so the product must not warn
+        A = Averaged(SwapIsometry(0, 1), 0.5)
+        x = np.array([[np.inf, 0.0, 0.0], [1.0, 2.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = A(x)
+        np.testing.assert_array_equal(out, [[np.inf, np.inf, 0.0], [1.5, 1.5, 3.0]])
+        np.testing.assert_array_equal(out, walk(A, x))
+
     @pytest.mark.parametrize("d", [2, 8])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_huge_finite_value_is_kept(self, d, sign):
@@ -990,7 +997,54 @@ class TestCompiledEvaluation:
             np.testing.assert_array_equal(R(x), walk(R, x))
 
 
+# generators of the product grid: d = 4, and Scale(2) has no certificate
+PRODUCT_GENERATORS = {
+    "negation": lambda sp: Scale(-1.0),
+    "half": lambda sp: Scale(0.5),
+    "identity": lambda sp: Scale(1.0),
+    "double": lambda sp: Scale(2.0),
+    "tanh": lambda sp: Activation("tanh"),
+    "relu": lambda sp: Activation("relu"),
+    "two_swaps": two_swap_chain,
+    "truncate": lambda sp: Truncate(2, sp, 4),
+}
+
+
+def value_or_failure(T, x):
+    try:
+        return T(x)
+    except ResolventDiverged as exc:
+        return str(exc)
+
+
 class TestSemigroup:
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 1024])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0])
+    @pytest.mark.parametrize("name", sorted(PRODUCT_GENERATORS))
+    def test_product_is_the_composition_of_its_steps(self, name, p, n, t):
+        # the product node against the n-fold composition of its step
+        sp = space_params(p)
+        F = PRODUCT_GENERATORS[name](sp)
+        uncertified = pytest.warns(UserWarning, match="nonexpansiveness certificate")
+        with uncertified if name == "double" else contextlib.nullcontext():
+            T = semigroup_product(F, t, n, sp)
+            ref = Compose((Resolvent(F, t / n, p=p),) * n, sp)
+        assert (T.meta.proven_nonexpansive, T.meta.alpha_firm, T.meta.averaged) == (
+            ref.meta.proven_nonexpansive, ref.meta.alpha_firm, ref.meta.averaged
+        )
+        assert set_to_json(T.meta.fixed_points) == set_to_json(ref.meta.fixed_points)
+        assert (T.dims, T.affine) == (ref.dims, ref.affine)
+        if T.affine:  # test_squared_product_matches_walk covers its values
+            return
+        x = np.random.default_rng(8).uniform(-2.0, 2.0, size=(5, 4))
+        for v in (x[0], x):
+            out, expected = value_or_failure(T, v), value_or_failure(ref, v)
+            if isinstance(expected, str):
+                assert out == expected
+            else:
+                np.testing.assert_array_equal(out, expected)
+
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0])
     def test_rejects_bad_t(self, t):
         with pytest.raises(ValueError, match="semigroup t must be finite"):
