@@ -9,17 +9,23 @@ falsifier, not a proof, since the properties quantify over the whole space.
 A residual is the slack over ||x - y||^r (||x - y|| for nonexpansiveness
 and Bruck), 0 at x = y and with no floor, so tolerances are scale-free; the
 firm terms enter as norm ratios over ||x - y||, so no r-th power overflows.
+
+One loop, ``_falsify``, serves the four properties: it takes the pairs in
+near-equal row chunks of at most a few thousand rows, evaluates T and the
+property's residual on each chunk and keeps the first worst pair, so memory
+is bounded in n and the report is the one the whole batch would give.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .projections import sample_points
-from .space import SpaceParams, lp_norm
+from .space import SpaceParams, _row_chunks, lp_norm
 
 __all__ = [
     "Sampler",
@@ -48,6 +54,12 @@ class Sampler:
     draw to exact members of a convex set; ``min_norm`` rescales points to
     lp norm >= min_norm (for certification on restricted outer regions).
     Draws are reproducible: the generator is reseeded on every call.
+
+    ``chunks`` yields the rows of ``draw`` in row chunks.  A plain uniform
+    or gaussian draw is one stream of rows, so its chunks are drawn one
+    after another from one generator; a ``constraint`` draw (its columns
+    and radii come after its rows) and a ``min_norm`` draw are made whole
+    and sliced.
     """
 
     seed: int
@@ -67,18 +79,21 @@ class Sampler:
         if self.low > self.high:
             raise ValueError(f"sampler low must not exceed high, got {self.low} > {self.high}")
 
+    def _rows(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        if self.dist == "uniform":
+            return rng.uniform(self.low, self.high, size=(n, self.dim))
+        if self.dist == "gaussian":
+            return self.scale * rng.standard_normal(size=(n, self.dim))
+        raise ValueError(f"unknown sampling distribution {self.dist!r}")
+
     def draw(self, n: int, p: float) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
         if self.constraint is not None:
             pts = sample_points(
                 self.constraint, rng, n, self.dim, p, scale=max(abs(self.low), abs(self.high))
             )
-        elif self.dist == "uniform":
-            pts = rng.uniform(self.low, self.high, size=(n, self.dim))
-        elif self.dist == "gaussian":
-            pts = self.scale * rng.standard_normal(size=(n, self.dim))
         else:
-            raise ValueError(f"unknown sampling distribution {self.dist!r}")
+            pts = self._rows(rng, n)
         if self.min_norm is not None:
             norms = lp_norm(pts, p)
             dead = norms == 0.0
@@ -88,6 +103,14 @@ class Sampler:
             factor = np.maximum(1.0, (self.min_norm / norms) * (1.0 + 1e-9))
             pts = pts * factor[:, None]
         return pts
+
+    def chunks(self, n: int, p: float):
+        """The rows of ``draw(n, p)``, one array per slice of the row chunks."""
+        if self.constraint is None and self.min_norm is None:
+            rng = np.random.default_rng(self.seed)
+            return (self._rows(rng, s.stop - s.start) for s in _row_chunks(n))
+        pts = self.draw(n, p)
+        return (pts[s] for s in _row_chunks(n))
 
 
 @dataclass
@@ -137,9 +160,9 @@ def firm_residual(T, x, y, alpha: float, sp: SpaceParams):
     return _firm_slack(*_firm_terms(x, y, T(x), T(y), sp.p), alpha, sp)
 
 
-def _min_alpha_estimate(sep, disp, out, sp: SpaceParams):
-    """Smallest alpha certified by the sampled pairs, from the firm terms
-    over ||x - y|| (``sep`` is 1, or 0 at x = y).
+def _min_alpha_bound(sep, disp, out, sp: SpaceParams):
+    """The smallest alpha the sampled pairs allow, from the firm terms over
+    ||x - y|| (``sep`` is 1, or 0 at x = y).
 
     Solving the firm inequality for alpha pairwise gives
     alpha >= 1/(1 + beta), beta = gain / term, with the gain
@@ -147,8 +170,10 @@ def _min_alpha_estimate(sep, disp, out, sp: SpaceParams):
     term is within the rounding of its gain, r eps max(sep^r, out^r) (out^r
     carries r times the rounding of out), bounds no alpha: it is degenerate
     and skipped, as is every pair with zero displacement.  Returns
-    (estimate, number of degenerate pairs); the estimate is absent when
-    some other pair admits no alpha in (0, 1).
+    (bound, number of degenerate pairs).  The bound is the largest
+    1/(1 + beta), -inf when no pair bounds alpha and +inf when some pair
+    admits no alpha in (0, 1), so the bound of a union of pair sets is the
+    max of their bounds, and the estimate is that bound where it is finite.
     """
     out_r, disp_r = out**sp.r, disp**sp.r
     gain = sep - out_r  # sep^r = sep
@@ -156,10 +181,10 @@ def _min_alpha_estimate(sep, disp, out, sp: SpaceParams):
     active = disp_r > (2.0 * sp.r * np.finfo(float).eps / sp.c_r) * np.maximum(sep, out_r)
     degenerate = int(np.size(gain) - np.count_nonzero(active))
     if not np.any(active):
-        return None, degenerate
+        return -math.inf, degenerate
     beta = 2.0 * gain[active] / (sp.c_r * disp_r[active])
     if np.any(beta <= 0.0):
-        return None, degenerate
+        return math.inf, degenerate
     return float(np.max(1.0 / (1.0 + beta))), degenerate
 
 
@@ -175,33 +200,67 @@ def _check_run(n: int, tol: float) -> None:
         raise ValueError(f"certification tol must be finite, got {tol}")
 
 
-def _worst_pair_report(prop: str, x, y, rel: np.ndarray, tol: float, **fields) -> CertReport:
-    """Report the pair with the smallest relative residual ``rel`` as the
-    witness; the check passes when that residual is >= -tol."""
-    worst = int(np.argmin(rel))
+class _Chunk(NamedTuple):
+    """A property's residuals on one chunk of pairs."""
+
+    rel: np.ndarray  # each pair's residual relative to its scale
+    alpha_bound: float = -math.inf  # as _min_alpha_bound; -inf bounds nothing
+    degenerate: int = 0
+    grid_index: np.ndarray | None = None  # Bruck: the weight attaining each residual
+
+
+def _falsify(prop: str, T, pairs, n: int, residual, tol: float, details: dict) -> CertReport:
+    """Certify one property on n pairs, given as (x, y) row chunks.
+
+    ``residual(x, y, Tx, Ty)`` returns the property's ``_Chunk``.  The
+    witness is the pair with the smallest relative residual, the first of
+    equal ones and a NaN before any number, as np.argmin over the whole
+    batch picks it; the check passes when that residual is >= -tol.  The
+    alpha bounds and degenerate counts of the chunks are merged, and a
+    Bruck report's ``worst_w`` is the weight attaining the witness's residual.
+    """
+    worst = None
+    bound, degenerate = -math.inf, 0
+    for x, y in pairs:
+        chunk = residual(x, y, T(x), T(y))
+        i = int(np.argmin(chunk.rel))
+        rel = chunk.rel[i]
+        if worst is None or rel < worst[0] or (np.isnan(rel) and not np.isnan(worst[0])):
+            k = None if chunk.grid_index is None else chunk.grid_index[i]
+            worst = (rel, x[i].copy(), y[i].copy(), k)
+        bound = max(bound, chunk.alpha_bound)
+        degenerate += chunk.degenerate
+    rel, x, y, k = worst
+    if k is not None:
+        details["worst_w"] = details["w_grid"][k]
     return CertReport(
         property=prop,
-        samples=len(rel),
-        worst_residual=float(rel[worst]),
-        witness=(x[worst].copy(), y[worst].copy()),
-        passed=bool(rel[worst] >= -tol),
-        **fields,
+        samples=n,
+        worst_residual=float(rel),
+        witness=(x, y),
+        estimated_min_alpha=bound if math.isfinite(bound) else None,
+        passed=bool(rel >= -tol),
+        degenerate_pairs=degenerate,
+        details=details,
     )
 
 
-def _firm_report(prop: str, x, y, tx, ty, alpha: float, sp: SpaceParams, tol: float):
+def _split(pts: np.ndarray, n: int):
+    """(x, y) row chunks of a 2n-row draw: x its first n rows, y the rest."""
+    x, y = pts[:n], pts[n:]
+    return ((x[s], y[s]) for s in _row_chunks(n))
+
+
+def _firm_chunk(x, y, tx, ty, alpha: float, sp: SpaceParams) -> _Chunk:
     # norms of the unscaled differences (T = Id leaves exact zeros) over ||x - y||
     terms = _firm_terms(x, y, tx, ty, sp.p)
     s = _separation(terms[0])
     sep, disp, out = (t / s for t in terms)
-    rel = _firm_slack(sep, disp, out, alpha, sp)
-    est, degenerate = _min_alpha_estimate(sep, disp, out, sp)
-    return _worst_pair_report(
-        prop, x, y, rel, tol,
-        estimated_min_alpha=est,
-        degenerate_pairs=degenerate,
-        details={"alpha": alpha, "p": sp.p, "r": sp.r, "c_r": sp.c_r, "tol": tol},
-    )
+    return _Chunk(_firm_slack(sep, disp, out, alpha, sp), *_min_alpha_bound(sep, disp, out, sp))
+
+
+def _firm_details(alpha: float, sp: SpaceParams, tol: float) -> dict:
+    return {"alpha": alpha, "p": sp.p, "r": sp.r, "c_r": sp.c_r, "tol": tol}
 
 
 def certify_alpha_firm(
@@ -216,9 +275,11 @@ def certify_alpha_firm(
     first sampler, y from the second); estimates the minimal certified alpha."""
     _check_run(n, tol)
     d_sampler, e_sampler = samplers
-    x = d_sampler.draw(n, sp.p)
-    y = e_sampler.draw(n, sp.p)
-    return _firm_report("alpha_firm", x, y, T(x), T(y), alpha, sp, tol)
+    return _falsify(
+        "alpha_firm", T, zip(d_sampler.chunks(n, sp.p), e_sampler.chunks(n, sp.p)), n,
+        lambda x, y, tx, ty: _firm_chunk(x, y, tx, ty, alpha, sp),
+        tol, _firm_details(alpha, sp, tol),
+    )
 
 
 def certify_quasi_alpha_firm(
@@ -234,7 +295,7 @@ def certify_quasi_alpha_firm(
 
     This is the firm inequality with Ty = y.  When ``fix_sampler`` is None
     it is derived from the operator's fixed-point metadata; sampled y
-    values are verified to be fixed.
+    values are verified to be fixed, chunk by chunk before they are used.
     """
     _check_run(n, tol)
     if fix_sampler is None:
@@ -250,12 +311,16 @@ def certify_quasi_alpha_firm(
             high=x_sampler.high,
             constraint=fixed_set,
         )
-    x = x_sampler.draw(n, sp.p)
-    y = fix_sampler.draw(n, sp.p)
-    fix_err = lp_norm(T(y) - y, sp.p)
-    if np.any(fix_err > 1e-8 * lp_norm(y, sp.p)):
-        raise ValueError("sampled y points are not fixed by T; bad fixed-point data")
-    return _firm_report("quasi_alpha_firm", x, y, T(x), y, alpha, sp, tol)
+
+    def residual(x, y, tx, ty):
+        if np.any(lp_norm(ty - y, sp.p) > 1e-8 * lp_norm(y, sp.p)):
+            raise ValueError("sampled y points are not fixed by T; bad fixed-point data")
+        return _firm_chunk(x, y, tx, y, alpha, sp)
+
+    return _falsify(
+        "quasi_alpha_firm", T, zip(x_sampler.chunks(n, sp.p), fix_sampler.chunks(n, sp.p)), n,
+        residual, tol, _firm_details(alpha, sp, tol),
+    )
 
 
 def certify_nonexpansive(
@@ -267,13 +332,14 @@ def certify_nonexpansive(
 ) -> CertReport:
     """Check ||Tx - Ty|| <= ||x - y|| on sampled pairs."""
     _check_run(n, tol)
-    pts = sampler.draw(2 * n, p)
-    x, y = pts[:n], pts[n:]
-    sep = lp_norm(x - y, p)
-    out = lp_norm(T(x) - T(y), p)
-    rel = (sep - out) / _separation(sep)
-    return _worst_pair_report(
-        "nonexpansive", x, y, rel, tol, estimated_min_alpha=None, details={"p": p, "tol": tol}
+
+    def residual(x, y, tx, ty):
+        sep = lp_norm(x - y, p)
+        return _Chunk((sep - lp_norm(tx - ty, p)) / _separation(sep))
+
+    return _falsify(
+        "nonexpansive", T, _split(sampler.draw(2 * n, p), n), n, residual, tol,
+        {"p": p, "tol": tol},
     )
 
 
@@ -311,29 +377,23 @@ def certify_bruck_firm(
         raise ValueError("w_grid must be nonempty")
     if any(not 0.0 <= w < 1.0 for w in w_grid):
         raise ValueError("grid weights must lie in [0, 1)")
-    pts = sampler.draw(2 * n, sp.p)
-    x, y = pts[:n], pts[n:]
-    dxy = x - y
-    dtxy = T(x) - T(y)
-    phi1 = lp_norm(dtxy, sp.p)
-    scale = _separation(lp_norm(dxy, sp.p))
-    rel = np.full(n, np.inf)
-    k_min = np.zeros(n, dtype=int)  # grid index attaining each pair's residual
-    for k, w in enumerate(w_grid):
-        rel_k = (_bruck_phi(dxy, dtxy, w, sp.p) - phi1) / scale
-        lower = rel_k < rel
-        rel = np.where(lower, rel_k, rel)
-        k_min = np.where(lower, k, k_min)
-    report = _worst_pair_report(
-        "bruck_firm", x, y, rel, tol,
-        estimated_min_alpha=None,
-        details={
-            "p": sp.p,
-            "tol": tol,
-            "w_grid": list(w_grid),
-            "worst_w": w_grid[k_min[int(np.argmin(rel))]],
-            "implied_alphas": {},
-        },
+
+    def residual(x, y, tx, ty):
+        dxy, dtxy = x - y, tx - ty
+        phi1 = lp_norm(dtxy, sp.p)
+        scale = _separation(lp_norm(dxy, sp.p))
+        rel = np.full(len(x), np.inf)
+        k_min = np.zeros(len(x), dtype=int)  # grid index attaining each pair's residual
+        for k, w in enumerate(w_grid):
+            rel_k = (_bruck_phi(dxy, dtxy, w, sp.p) - phi1) / scale
+            lower = rel_k < rel
+            rel = np.where(lower, rel_k, rel)
+            k_min = np.where(lower, k, k_min)
+        return _Chunk(rel, grid_index=k_min)
+
+    report = _falsify(
+        "bruck_firm", T, _split(sampler.draw(2 * n, sp.p), n), n, residual, tol,
+        {"p": sp.p, "tol": tol, "w_grid": list(w_grid), "worst_w": None, "implied_alphas": {}},
     )
     if report.passed:
         report.estimated_min_alpha = 1.0 / (1.0 + max(w_grid))

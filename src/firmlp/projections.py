@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import NonFiniteError, SpaceParams, lp_norm, norm_pow
+from .space import NonFiniteError, SpaceParams, _row_chunks, lp_norm, norm_pow
 
 __all__ = [
     "Box",
@@ -346,9 +346,22 @@ def projection_pair_residual(C, x, y, sp: SpaceParams):
 
     ||P_C x - P_C y||^r <= (1/c_r)(||x - P_C y||^r + ||y - P_C x||^r
                                    - ||x - P_C x||^r - ||y - P_C y||^r).
+
+    Two batches of equal shape (n, d) are evaluated in the row chunks that
+    certification uses, so memory stays bounded in n; each row's value is
+    the one the whole batch gives.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or x.shape != y.shape:
+        return _pair_slack(C, x, y, sp)
+    out = np.empty(len(x))
+    for rows in _row_chunks(len(x)):
+        out[rows] = _pair_slack(C, x[rows], y[rows], sp)
+    return out
+
+
+def _pair_slack(C, x, y, sp: SpaceParams):
     px = project(C, x, sp)
     py = project(C, y, sp)
     rhs = (

@@ -189,6 +189,27 @@ def norm_pow(x, sp: SpaceParams):
     return lp_norm(x, sp.p) ** sp.r
 
 
+_CHUNK_ROWS = 4096  # a chunk's arrays stay in cache; 1-4 k rows ran a batch fastest
+_ROW_BLOCK = 64  # BLAS kernels take the rows of a product in tiles dividing this
+
+
+def _row_chunks(n: int) -> list[slice]:
+    """About n / _CHUNK_ROWS near-equal slices covering range(n), cut
+    between whole _ROW_BLOCK-row blocks; n <= _CHUNK_ROWS is one slice.
+
+    Batched kernels evaluated chunk by chunk run in memory bounded in n,
+    and each row gets the value the whole batch gives it: BLAS rounds the
+    rows of a tile that is cut short (a matrix-vector product on 4k + 1
+    rows, say) differently, so every chunk starts on a block and holds at
+    least one, and only the last one ends off a block, where the whole
+    batch ends too.
+    """
+    blocks = n // _ROW_BLOCK
+    k = max(1, min(-(-n // _CHUNK_ROWS), blocks))
+    edges = [_ROW_BLOCK * (i * blocks // k) for i in range(k)] + [n]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def _expand_weight(w):
     w = np.asarray(w, dtype=float)
     if np.any((w < 0.0) | (w > 1.0)):

@@ -1,6 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from firmlp import space
 from firmlp.certify import (
     DEFAULT_W_GRID,
     Sampler,
@@ -19,11 +25,12 @@ from firmlp.operators import (
     SwapIsometry,
     averaged,
     compose,
+    guaranteed_nonexpansive_affine,
     identity,
     resolvent_operator,
     truncation_operator,
 )
-from firmlp.projections import Ball
+from firmlp.projections import AffineEqual, Ball, Box
 from firmlp.space import lp_norm, norm_pow, space_params
 
 SP2 = space_params(2.0)
@@ -349,3 +356,189 @@ class TestScaleFreeCertification:
             rep = certify_alpha_firm(T, T.meta.alpha_firm, sp, samplers, n=500)
             assert rep.passed, c
             assert abs(rep.worst_residual) <= 1e-12
+
+
+CHUNK = 128  # two 64-row blocks: the smallest chunk that still splits a batch
+SIZES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5)
+
+
+def _chunk_operators():
+    """name -> (T, a sampler of Fix T for the quasi property)."""
+    rng = np.random.default_rng(5)
+    affine = guaranteed_nonexpansive_affine(rng.normal(size=(8, 8)), rng.normal(size=8), 3.0)
+    W, b = affine.affine_form(8)
+    y_star = np.linalg.solve(np.eye(8) - W, b)  # the affine map's one fixed point
+    return {
+        "truncation": (truncation_operator(2, SP3, 8), None),
+        "relu": (Activation("relu"), None),
+        "swap_chain": (compose([averaged(SwapIsometry(i, i + 1), 0.5) for i in range(7)], SP3), None),
+        "affine": (affine, Sampler(seed=8, dim=8, constraint=Box(y_star, y_star))),
+        "resolvent_neg_id": (resolvent_operator(Scale(-1.0), 1.0, SP3), None),
+    }
+
+
+CHUNK_OPERATORS = _chunk_operators()
+
+
+def _certify(prop, T, fixed, n):
+    if prop == "alpha_firm":
+        samplers = (Sampler(seed=3, dim=8), Sampler(seed=4, dim=8, dist="gaussian", scale=3.0))
+        return certify_alpha_firm(T, 0.4, SP3, samplers, n=n)
+    if prop == "alpha_firm_restricted":  # samplers drawn whole and sliced
+        samplers = (
+            Sampler(seed=3, dim=8, min_norm=5.0),
+            Sampler(seed=9, dim=8, constraint=Ball(center=np.zeros(8), radius=2.0)),
+        )
+        return certify_alpha_firm(T, 0.4, SP3, samplers, n=n)
+    if prop == "quasi":
+        return certify_quasi_alpha_firm(T, 0.4, SP3, fixed, Sampler(seed=7, dim=8), n=n)
+    if prop == "nonexpansive":
+        return certify_nonexpansive(T, 3.0, Sampler(seed=5, dim=8), n=n)
+    return certify_bruck_firm(T, SP3, Sampler(seed=6, dim=8), n=n)
+
+
+def assert_same_report(a, b):
+    """Field for field, floats bit for bit (repr round-trips a float)."""
+    doc_a, doc_b = report_to_json(a), report_to_json(b)
+    assert doc_a.keys() == doc_b.keys()
+    for key in doc_a:
+        assert repr(doc_a[key]) == repr(doc_b[key]), key
+
+
+def _flipping(rows, flip, keep):
+    """A map that sends the listed rows z to flip * z and every other row
+    to keep * z; rows are told apart by their values."""
+    marked = {np.asarray(r, dtype=float).tobytes() for r in rows}
+
+    def T(z):
+        hit = np.array([r.tobytes() in marked for r in z])
+        return np.where(hit[:, None], flip * z, keep * z)
+
+    return T
+
+
+class TestChunkInvariance:
+    """Certification evaluated in row chunks reports what the whole batch
+    reports, field for field and bit for bit."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("op", sorted(CHUNK_OPERATORS))
+    @pytest.mark.parametrize(
+        "prop", ["alpha_firm", "alpha_firm_restricted", "quasi", "nonexpansive", "bruck"]
+    )
+    def test_chunked_report_equals_whole_batch(self, monkeypatch, prop, op, n):
+        T, fixed = CHUNK_OPERATORS[op]
+        whole = _certify(prop, T, fixed, n)
+        monkeypatch.setattr(space, "_CHUNK_ROWS", CHUNK)
+        assert len(space._row_chunks(n)) == (1 if n <= CHUNK else 2 if n == CHUNK + 1 else 4)
+        chunked = _certify(prop, T, fixed, n)
+        assert chunked.samples == n
+        assert_same_report(chunked, whole)
+
+    def test_tie_across_chunks_goes_to_the_first_pair(self, monkeypatch):
+        # pairs 150 and 300 (chunks 2 and 4) both expand by exactly 2, the
+        # rest contract by 1/2: the earlier of the two is the witness
+        monkeypatch.setattr(space, "_CHUNK_ROWS", CHUNK)
+        n, sampler = 3 * CHUNK + 5, Sampler(seed=5, dim=8)
+        pts = sampler.draw(2 * n, 3.0)
+        T = _flipping([pts[150], pts[n + 150], pts[300], pts[n + 300]], 2.0, 0.5)
+        rep = certify_nonexpansive(T, 3.0, sampler, n=n)
+        assert rep.worst_residual == -1.0
+        assert np.array_equal(rep.witness[0], pts[150])
+        assert np.array_equal(rep.witness[1], pts[n + 150])
+        monkeypatch.setattr(space, "_CHUNK_ROWS", n)
+        assert_same_report(rep, certify_nonexpansive(T, 3.0, sampler, n=n))
+
+    def test_unbounded_pair_in_last_chunk_voids_the_estimate(self, monkeypatch):
+        # a pair with ||Tx - Ty|| = ||x - y|| and nonzero displacement has
+        # beta = 0; the earlier chunks' finite estimate must not hide it
+        monkeypatch.setattr(space, "_CHUNK_ROWS", CHUNK)
+        n = 3 * CHUNK + 5
+        samplers = (Sampler(seed=3, dim=8), Sampler(seed=4, dim=8))
+        x, y = (s.draw(n, 3.0) for s in samplers)
+        last = space._row_chunks(n)[-1].start + 2
+        plain = certify_alpha_firm(_flipping([], -1.0, 0.5), 0.4, SP3, samplers, n=n)
+        assert plain.estimated_min_alpha is not None
+        rep = certify_alpha_firm(_flipping([x[last], y[last]], -1.0, 0.5), 0.4, SP3, samplers, n=n)
+        assert rep.estimated_min_alpha is None
+        monkeypatch.setattr(space, "_CHUNK_ROWS", n)
+        whole = certify_alpha_firm(_flipping([x[last], y[last]], -1.0, 0.5), 0.4, SP3, samplers, n=n)
+        assert_same_report(rep, whole)
+
+    def test_unfixed_y_in_last_chunk_raises(self, monkeypatch):
+        monkeypatch.setattr(space, "_CHUNK_ROWS", CHUNK)
+        n = 3 * CHUNK + 5
+        fix = Sampler(seed=8, dim=8, constraint=AffineEqual(groups=((0, 1, 2, 3, 4, 5, 6, 7),)))
+        y = fix.draw(n, 3.0)
+        x_sampler = Sampler(seed=7, dim=8)
+        fixed_everywhere = _flipping([], 1.0, 1.0)
+        assert certify_quasi_alpha_firm(fixed_everywhere, 0.5, SP3, fix, x_sampler, n=n).passed
+        moved = _flipping([y[n - 1]], 1.5, 1.0)
+        with pytest.raises(ValueError, match="not fixed by T"):
+            certify_quasi_alpha_firm(moved, 0.5, SP3, fix, x_sampler, n=n)
+
+
+class TestSamplerChunks:
+    """The row chunks of a sampler concatenate to its whole draw."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dist=st.sampled_from(["uniform", "gaussian"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=700),
+        rows=st.integers(min_value=1, max_value=800),
+    )
+    def test_streamed_chunks_are_the_draw(self, dist, seed, n, rows):
+        s = Sampler(seed=seed, dim=3, dist=dist, scale=2.0)
+        with mock.patch.object(space, "_CHUNK_ROWS", rows):
+            parts = list(s.chunks(n, 3.0))
+            sizes = [sl.stop - sl.start for sl in space._row_chunks(n)]
+        assert [len(c) for c in parts] == sizes
+        assert np.concatenate(parts).tobytes() == s.draw(n, 3.0).tobytes()
+
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            Sampler(seed=2, dim=4, constraint=Ball(center=np.zeros(4), radius=2.0)),
+            Sampler(seed=2, dim=4, constraint=AffineEqual(groups=((0, 1),), fixed=((2, 0.5),))),
+            Sampler(seed=2, dim=4, min_norm=5.0),
+            Sampler(seed=2, dim=4, dist="gaussian", min_norm=5.0),
+        ],
+        ids=["ball", "affine_equal", "min_norm", "gaussian_min_norm"],
+    )
+    @pytest.mark.parametrize("n", SIZES)
+    def test_whole_draw_samplers_are_sliced(self, monkeypatch, sampler, n):
+        monkeypatch.setattr(space, "_CHUNK_ROWS", CHUNK)
+        parts = list(sampler.chunks(n, 3.0))
+        assert len(parts) == len(space._row_chunks(n))
+        assert np.concatenate(parts).tobytes() == sampler.draw(n, 3.0).tobytes()
+
+    @given(n=st.integers(min_value=0, max_value=20_000), rows=st.integers(min_value=1, max_value=9_000))
+    def test_row_chunks(self, n, rows):
+        block = space._ROW_BLOCK
+        with mock.patch.object(space, "_CHUNK_ROWS", rows):
+            chunks = space._row_chunks(n)
+        assert [i for c in chunks for i in range(c.start, c.stop)] == list(range(n))
+        assert all(c.start % block == 0 for c in chunks)
+        if n <= rows or n < 2 * block:
+            assert len(chunks) == 1
+        else:
+            # no chunk below one block, none above the chunk size rounded up
+            # to whole blocks except the last, which carries n's partial block
+            assert all(c.stop - c.start >= block for c in chunks)
+            assert all(c.stop - c.start <= -(-rows // block) * block for c in chunks[:-1])
+            assert len(chunks) == min(-(-n // rows), n // block)
+
+
+def test_certification_memory_is_bounded_in_n():
+    # 2e5 pairs at d = 8: x and y alone take 25.6 MB as whole batches
+    T = truncation_operator(2, SP3, 8)
+    samplers = (Sampler(seed=1, dim=8), Sampler(seed=2, dim=8))
+    tracemalloc.start()
+    try:
+        rep = certify_alpha_firm(T, T.meta.alpha_firm, SP3, samplers, n=200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.samples == 200_000
+    assert peak < 5e6, peak

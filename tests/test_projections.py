@@ -20,6 +20,7 @@ from firmlp.projections import (
     set_from_json,
     set_to_json,
 )
+from firmlp import space
 from firmlp.space import lp_norm, space_params
 
 PS = [1.5, 2.0, 3.0, 4.0]
@@ -467,3 +468,22 @@ class TestStrictJsonValues:
         for bad in (True, False, "0.5", None, [0.5]):
             with pytest.raises(TypeError):
                 json_float(bad)
+
+
+class TestPairResidualChunks:
+    """Row chunks change no row of the pair residual."""
+
+    CHUNK = 128  # two 64-row blocks
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    @pytest.mark.parametrize("C", all_set_kinds(8), ids=lambda C: C.kind)
+    def test_chunked_rows_equal_whole_batch(self, monkeypatch, C, n, p):
+        sp = space_params(p)
+        rng = np.random.default_rng(n)
+        x, y = rng.uniform(-10.0, 10.0, size=(2, n, 8))
+        whole = projection_pair_residual(C, x, y, sp)
+        monkeypatch.setattr(space, "_CHUNK_ROWS", self.CHUNK)
+        chunked = projection_pair_residual(C, x, y, sp)
+        assert chunked.shape == (n,)
+        assert chunked.tobytes() == whole.tobytes()
